@@ -20,17 +20,7 @@ from pathlib import Path
 from .energy import decide_initial_credit, energy_values
 from .energy_tw import TwStats, energy_values_tw
 from .generate import generate
-from .graph import (
-    INF,
-    InvariantError,
-    ParseError,
-    component_has_cycle,
-    induced_subgraph,
-    load_graph,
-    propagate_component_values,
-    tarjan_scc,
-    to_dimacs,
-)
+from .graph import INF, InvariantError, ParseError, load_graph, to_dimacs
 from .mincycle import min_cycle
 from .oracles import (
     OracleTooBigError,
@@ -47,6 +37,7 @@ from .ratio import (
     decide_ratio_geq,
     mean_values_all_nodes,
     ratio_values_all_nodes,
+    values_all_nodes,
 )
 from .treedec import build_decomposition, decomposition_to_text, validate
 
@@ -90,28 +81,39 @@ def _search_stat_line(stats: SearchStats) -> str:
     return " ".join(parts)
 
 
-def _validate_or_die(g, heuristic: str) -> None:
-    t = build_decomposition(g, heuristic)
-    v = validate(t, g)
-    if v is not None:
-        raise InvariantError(f"decomposition check failed [{v.condition}]: {v.detail}")
+class _Trees:
+    """Builds every decomposition a command solves on, with --heuristic.
 
+    With --validate each tree is checked as soon as it is built, before the
+    solver uses it, and --stats reports the trees built.
+    """
 
-def _per_scc_values(g, solver):
-    scc = tarjan_scc(g)
-    per = []
-    for ci, comp in enumerate(scc.components):
-        if not component_has_cycle(g, scc, ci):
-            per.append(INF)
-            continue
-        sub, _ = induced_subgraph(g, comp)
-        per.append(solver(sub))
-    return propagate_component_values(g, scc, per)
+    def __init__(self, args):
+        self.args = args
+        self.built = []
 
+    def __call__(self, g):
+        t = build_decomposition(g, self.args.heuristic)
+        if self.args.validate:
+            v = validate(t, g)
+            if v is not None:
+                raise InvariantError(f"decomposition check failed [{v.condition}]: {v.detail}")
+        self.built.append(t)
+        return t
 
-def _decomposition_stat_line(g, heuristic: str) -> str:
-    t = build_decomposition(g, heuristic)
-    return f"n={g.n} m={g.m} width={t.width} height={t.height} bags={len(t.bags)}"
+    def report(self, g, *extra: str) -> None:
+        """With --stats, one stderr line: the trees built, then ``extra``."""
+        if not self.args.stats:
+            return
+        ts = self.built
+        parts = [f"n={g.n} m={g.m} builds={len(ts)}"]
+        if ts:
+            parts += [
+                f"width={max(t.width for t in ts)}",
+                f"height={max(t.height for t in ts)}",
+                f"bags={sum(len(t.bags) for t in ts)}",
+            ]
+        print(" ".join(parts + [e for e in extra if e]), file=sys.stderr)
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -119,16 +121,14 @@ def _decomposition_stat_line(g, heuristic: str) -> str:
 
 def _cmd_cycle_value(args, problem: str) -> int:
     g = load_graph(args.file)
-    if args.validate:
-        _validate_or_die(g, args.heuristic)
+    trees = _Trees(args)
     ratio = problem == "ratio"
+    stats = SearchStats()
     if args.decide is not None:
         nu = Fraction(args.decide)
-        stats = SearchStats()
         decide = decide_ratio_geq if ratio else decide_mean_geq
-        ans = decide(g, None, nu, stats)
-        if args.stats:
-            print(_search_stat_line(stats), file=sys.stderr)
+        ans = decide(g, trees(g), nu, stats)
+        trees.report(g, _search_stat_line(stats))
         if args.json:
             _emit_json({"problem": problem, "decide": _frac_text(nu), "answer": ans})
         else:
@@ -136,40 +136,29 @@ def _cmd_cycle_value(args, problem: str) -> int:
         return EXIT_OK if ans else EXIT_NO
     if not ratio and args.approx is not None:
         eps = Fraction(args.approx)
-        value, stats = approx_mean(g, None, eps)
-        if args.stats:
-            print(_search_stat_line(stats), file=sys.stderr)
+        value, stats = approx_mean(g, trees(g), eps)
+        trees.report(g, _search_stat_line(stats))
         if args.json:
             _emit_json({"problem": problem, "eps": _frac_text(eps), "value": _frac_text(value)})
         else:
             print(f"*\t{_frac_text(value)}")
         return EXIT_OK
-    stats = SearchStats()
     if args.algo == "tw":
-        builder = lambda sub: build_decomposition(sub, args.heuristic)
-        values = (
-            ratio_values_all_nodes(g, builder, stats)
-            if ratio
-            else mean_values_all_nodes(g, builder, stats)
-        )
+        per_node = ratio_values_all_nodes if ratio else mean_values_all_nodes
+        values = per_node(g, trees, stats)
     elif args.algo == "karp":
-        values = _per_scc_values(g, karp_mean)
+        values = values_all_nodes(g, karp_mean)
     else:  # oracle
         pick = min_ratio_by_enumeration if ratio else min_mean_by_enumeration
-        values = _per_scc_values(g, lambda sub: pick(enumerate_cycles(sub)))
-    if args.stats:
-        line = _decomposition_stat_line(g, args.heuristic)
-        if args.algo == "tw":
-            line += " " + _search_stat_line(stats)
-        print(line, file=sys.stderr)
+        values = values_all_nodes(g, lambda sub: pick(enumerate_cycles(sub)))
+    trees.report(g, _search_stat_line(stats) if args.algo == "tw" else "")
     _emit_values(args, problem, g, values, _frac_text)
     return EXIT_OK
 
 
 def _cmd_energy(args) -> int:
     g = load_graph(args.file)
-    if args.validate:
-        _validate_or_die(g, args.heuristic)
+    trees = _Trees(args)
     if args.decide is not None:
         label, credit_text = args.decide
         u = g.label_id(label)
@@ -182,35 +171,22 @@ def _cmd_energy(args) -> int:
         return EXIT_OK if ans else EXIT_NO
     tw_stats = TwStats()
     if args.algo == "tw":
-        t = build_decomposition(g, args.heuristic)
-        values = energy_values_tw(g, t, tw_stats)
+        values = energy_values_tw(g, trees(g), tw_stats)
     elif args.algo == "general":
         values = energy_values(g)
     else:  # oracle
         values = energy_fixpoint(g)
-    if args.stats:
-        line = _decomposition_stat_line(g, args.heuristic)
-        if args.algo == "tw":
-            line += (
-                f" kills={tw_stats.kills} update_bags={tw_stats.update_bags}"
-                f" hot_discarded={tw_stats.hot_discarded}"
-            )
-        print(line, file=sys.stderr)
+    kills = f"kills={tw_stats.kills} update_bags={tw_stats.update_bags} hot_discarded={tw_stats.hot_discarded}"
+    trees.report(g, kills if args.algo == "tw" else "")
     _emit_values(args, "energy", g, values, _int_text)
     return EXIT_OK
 
 
 def _cmd_mincycle(args) -> int:
     g = load_graph(args.file)
-    if args.validate:
-        _validate_or_die(g, args.heuristic)
-    t = build_decomposition(g, args.heuristic)
-    r = min_cycle(g, t)
-    if args.stats:
-        print(
-            f"n={g.n} m={g.m} width={t.width} height={r.height} peak_maps={r.peak_maps}",
-            file=sys.stderr,
-        )
+    trees = _Trees(args)
+    r = min_cycle(g, trees(g))
+    trees.report(g, f"peak_maps={r.peak_maps}")
     if args.json:
         _emit_json(
             {
@@ -228,13 +204,9 @@ def _cmd_mincycle(args) -> int:
 
 def _cmd_treedec(args) -> int:
     g = load_graph(args.file)
-    t = build_decomposition(g, args.heuristic)
-    if args.validate:
-        v = validate(t, g)
-        if v is not None:
-            raise InvariantError(f"decomposition check failed [{v.condition}]: {v.detail}")
-    if args.stats:
-        print(f"n={g.n} m={g.m} width={t.width} height={t.height} bags={len(t.bags)}", file=sys.stderr)
+    trees = _Trees(args)
+    t = trees(g)
+    trees.report(g)
     if args.json:
         _emit_json(
             {
@@ -276,9 +248,9 @@ def _bench_values(problem: str, algo: str, g, t):
             stats = SearchStats()
             return mean_values_all_nodes(g, None, stats), f"decisions={stats.decisions}"
         if algo == "karp":
-            return _per_scc_values(g, karp_mean), "-"
+            return values_all_nodes(g, karp_mean), "-"
         if algo == "oracle":
-            return _per_scc_values(g, lambda s: min_mean_by_enumeration(enumerate_cycles(s))), "-"
+            return values_all_nodes(g, lambda s: min_mean_by_enumeration(enumerate_cycles(s))), "-"
     else:
         if algo == "tw":
             stats = TwStats()
@@ -342,6 +314,13 @@ def _cmd_selftest(args) -> int:
     from .generate import gen_ktree, gen_sparse_random
     from .ratio import mean_value, ratio_value
 
+    def per_node_means_agree(g, seed) -> bool:
+        tw = mean_values_all_nodes(g)
+        karp = values_all_nodes(g, karp_mean)
+        if tw != karp:
+            print(f"selftest mismatch (per-node mean) seed={seed}: tw {tw} vs karp {karp}", file=sys.stderr)
+        return tw == karp
+
     checked = 0
     for i in range(args.count):
         g = gen_ktree(4 + i % 6, 1 + i % 3, seed=args.seed + i, wt=(-8, 8), wtp=(1, 4))
@@ -357,6 +336,8 @@ def _cmd_selftest(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_INTERNAL
+        if not per_node_means_agree(g, args.seed + i):
+            return EXIT_INTERNAL
         checked += 1
     for i in range(args.count):
         g = gen_sparse_random(5 + i % 6, 2, seed=args.seed + 1000 + i, wt=(-6, 6))
@@ -365,6 +346,8 @@ def _cmd_selftest(args) -> int:
         c = energy_fixpoint(g)
         if not (a == b == c):
             print(f"selftest mismatch (energy) seed={args.seed + 1000 + i}: {a} {b} {c}", file=sys.stderr)
+            return EXIT_INTERNAL
+        if not per_node_means_agree(g, args.seed + 1000 + i):
             return EXIT_INTERNAL
         checked += 1
     print(f"selftest passed ({checked} instances)")

@@ -191,13 +191,12 @@ def zero_energy_nodes(g: WeightedDigraph) -> tuple[list[int], AugmentedGraph]:
     raise InvariantError("kill loop outlived the node budget")
 
 
-def _values_from_final(g: WeightedDigraph, xs, ag: AugmentedGraph) -> list:
-    rev = [(v, u, w) for (u, v), w in ag.edges_alive()]
-    dist, _, cycle = bellman_ford_edges(ag.z + 1, rev, source=ag.z)
-    if cycle is not None:
-        raise InvariantError("negative cycle survived the kill loop")
-    vals: list = [0] * g.n
-    for u in range(g.n):
+def sink_distance_values(ag: AugmentedGraph, dist) -> list:
+    """Energies (non-positive convention) of the original nodes from the
+    distances to the sink in the final augmented graph: 0 for killed nodes,
+    -d for the others, -inf where the sink is unreachable."""
+    vals: list = [0] * ag.z
+    for u in range(ag.z):
         if not ag.alive[u]:
             continue
         d = dist[u]
@@ -213,8 +212,12 @@ def _values_from_final(g: WeightedDigraph, xs, ag: AugmentedGraph) -> list:
 def nonpositive_values(g: WeightedDigraph) -> list:
     """Energy per node in the non-positive convention: 0, a negative int,
     or -inf when no infinite walk from the node survives."""
-    xs, ag = zero_energy_nodes(g)
-    return _values_from_final(g, xs, ag)
+    _, ag = zero_energy_nodes(g)
+    rev = [(v, u, w) for (u, v), w in ag.edges_alive()]
+    dist, _, cycle = bellman_ford_edges(ag.z + 1, rev, source=ag.z)
+    if cycle is not None:
+        raise InvariantError("negative cycle survived the kill loop")
+    return sink_distance_values(ag, dist)
 
 
 def energy_values(g: WeightedDigraph) -> list:

@@ -18,12 +18,16 @@ per kill. Queue entries whose anchor has already died are discarded: the
 energies of surviving nodes are unchanged by kills, and any still-alive
 non-positive cycle re-announces itself during the repair of every kill that
 touches it.
+
+When the queue is empty, the weight parts of the final maps are the
+min-plus closure of the final graph, so the distances to the sink are read
+off them in one top-down pass.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .energy import NEG_INF, AugmentedGraph
+from .energy import NEG_INF, AugmentedGraph, sink_distance_values
 from .graph import INF, InvariantError, WeightedDigraph
 from .treedec import TreeDecomposition, build_decomposition, fold_bag_of_edge
 
@@ -202,8 +206,9 @@ def zero_energy_nodes_tw(
 ) -> tuple[list[int], dict]:
     """Kill every zero-energy node of the augmented graph, bag-locally.
 
-    Returns the killed nodes in discovery order and the final weight map.
-    ``ag`` is mutated in place; ``t2`` must be the extended decomposition.
+    Returns the killed nodes in discovery order and the final bag maps,
+    which :func:`sssp_to_z_treedec` reads. ``ag`` is mutated in place; ``t2``
+    must be the extended decomposition.
     """
     st = _TwState(ag, t2, stats if stats is not None else TwStats())
     st.initial_pass()
@@ -219,7 +224,7 @@ def zero_energy_nodes_tw(
         xs.append(w)
         if len(xs) > ag.z:
             raise InvariantError("kill loop outlived the node budget")
-    return xs, ag.weights
+    return xs, st.maps
 
 
 def recompute_all_maps(ag: AugmentedGraph, t2: TreeDecomposition) -> tuple[list, list[int]]:
@@ -233,69 +238,37 @@ def recompute_all_maps(ag: AugmentedGraph, t2: TreeDecomposition) -> tuple[list,
     return st.maps, st.hot
 
 
-def sssp_to_z_treedec(ag: AugmentedGraph, t2: TreeDecomposition) -> list:
+def sssp_to_z_treedec(ag: AugmentedGraph, t2: TreeDecomposition, maps: list) -> list:
     """Exact distance from every node to the sink in the final graph.
 
-    Bottom-up integer maps (a non-positive diagonal means a surviving
-    non-positive cycle and raises), then a top-down sweep: the distance of
-    the node rooted at a bag closes over the bag's other members, which are
-    all rooted at strict ancestors and therefore already final.
+    ``maps`` are the bag maps left by :func:`zero_energy_nodes_tw`; the
+    weight part of each triple is the min-plus closure of the final graph
+    over the bag's subtree. One top-down sweep reads the distances: the
+    node rooted at a bag closes over the bag's other members, which are all
+    rooted at strict ancestors and therefore already final. A non-positive
+    diagonal means a surviving non-positive cycle and raises.
     """
     stride = ag.z + 1
-    fold: list[list] = [[] for _ in t2.bags]
-    for (u, v), w in ag.weights.items():
-        fold[fold_bag_of_edge(t2, u, v)].append((u, v, w))
-    maps: list = [None] * len(t2.bags)
-    for b in t2.postorder():
-        bag = t2.bags[b]
-        cur: dict[int, int] = {}
-        for ch in t2.children[b]:
-            for k, w in maps[ch].items():
-                u, v = divmod(k, stride)
-                if u in bag and v in bag and w < cur.get(k, INF):
-                    cur[k] = w
-        for u, v, w in fold[b]:
-            k = u * stride + v
-            if w < cur.get(k, INF):
-                cur[k] = w
-        x = t2.single_rooted(b)
-        if x is not None:
-            into = []
-            out = []
-            for k, w in cur.items():
-                u, v = divmod(k, stride)
-                if v == x:
-                    into.append((u, w))
-                if u == x:
-                    out.append((v, w))
-            for u, wu in into:
-                base = u * stride
-                for v, wv in out:
-                    k = base + v
-                    w = wu + wv
-                    if w < cur.get(k, INF):
-                        cur[k] = w
-            d = cur.get(x * stride + x)
-            if d is not None and d <= 0:
-                raise InvariantError("non-positive cycle in shortest-path pass")
-        maps[b] = cur
     dist: list = [INF] * stride
     for b in t2.bfs_order:
         x = t2.single_rooted(b)
         if x is None:
             continue
+        m = maps[b]
+        base = x * stride
+        d = m.get(base + x)
+        if d is not None and d[0] <= 0:
+            raise InvariantError("non-positive cycle in shortest-path pass")
         if x == ag.z:
             dist[x] = 0
             continue
-        m = maps[b]
-        base = x * stride
         best = INF
         for v in t2.bags[b]:
             if v == x:
                 continue
             e = m.get(base + v)
             if e is not None and dist[v] is not INF:
-                cand = e + dist[v]
+                cand = e[0] + dist[v]
                 if cand < best:
                     best = cand
         dist[x] = best
@@ -317,20 +290,8 @@ def nonpositive_values_tw(
         t = build_decomposition(g)
     ag = AugmentedGraph(g)
     t2 = extend_decomposition_with_z(t)
-    zero_energy_nodes_tw(ag, t2, stats)
-    dist = sssp_to_z_treedec(ag, t2)
-    vals: list = [0] * g.n
-    for u in range(g.n):
-        if not ag.alive[u]:
-            continue
-        d = dist[u]
-        if d is INF:
-            vals[u] = NEG_INF
-        elif d <= 0:
-            raise InvariantError("non-positive distance to the sink after kills")
-        else:
-            vals[u] = -d
-    return vals
+    _, maps = zero_energy_nodes_tw(ag, t2, stats)
+    return sink_distance_values(ag, sssp_to_z_treedec(ag, t2, maps))
 
 
 def energy_values_tw(

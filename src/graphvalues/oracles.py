@@ -41,28 +41,32 @@ class CycleRecord:
 def enumerate_cycles(g: WeightedDigraph, cap: int = 10**6) -> list[CycleRecord]:
     """All simple cycles, each reported once starting from its smallest node.
 
-    DFS with on-path marking; raises OracleTooBigError past ``cap`` cycles.
+    Iterative DFS with on-path marking, so long cycles need no recursion;
+    raises OracleTooBigError past ``cap`` cycles.
     """
     found: list[CycleRecord] = []
     adj = [[(g.edges[i].dst, g.edges[i].wt, g.edges[i].wtp) for i in g.out[u]] for u in range(g.n)]
     on_path = [False] * g.n
-    path: list[int] = []
-
-    def dfs(u: int, s: int, wt: int, wtp: int) -> None:
-        on_path[u] = True
-        path.append(u)
-        for (v, w, wp) in adj[u]:
-            if v == s:
-                if len(found) >= cap:
-                    raise OracleTooBigError(f"more than {cap} simple cycles")
-                found.append(CycleRecord(tuple(path), wt + w, wtp + wp))
-            elif v > s and not on_path[v]:
-                dfs(v, s, wt + w, wtp + wp)
-        path.pop()
-        on_path[u] = False
-
     for s in range(g.n):
-        dfs(s, s, 0, 0)
+        on_path[s] = True
+        path = [s]
+        # per path node: its remaining out-edges and the path weights up to it
+        stack = [(iter(adj[s]), 0, 0)]
+        while stack:
+            it, wt, wtp = stack[-1]
+            for (v, w, wp) in it:
+                if v == s:
+                    if len(found) >= cap:
+                        raise OracleTooBigError(f"more than {cap} simple cycles")
+                    found.append(CycleRecord(tuple(path), wt + w, wtp + wp))
+                elif v > s and not on_path[v]:
+                    on_path[v] = True
+                    path.append(v)
+                    stack.append((iter(adj[v]), wt + w, wtp + wp))
+                    break
+            else:
+                stack.pop()
+                on_path[path.pop()] = False
     return found
 
 

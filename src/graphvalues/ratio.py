@@ -192,14 +192,13 @@ def decide_mean_eq(g, t, nu, stats=None) -> bool:
 # -- per-node values ---------------------------------------------------------------
 
 
-def _values_all_nodes(g: WeightedDigraph, t_builder, unit_wtp: bool, stats) -> list:
+def values_all_nodes(g: WeightedDigraph, solve) -> list:
     """Per start node: the best value among cycles reachable from it.
 
-    Each cyclic strongly connected component is solved on its own induced
-    subgraph, then component values flow backward over the condensation.
+    ``solve`` maps the induced subgraph of one cyclic strongly connected
+    component to its value; component values then flow backward over the
+    condensation.
     """
-    if t_builder is None:
-        t_builder = build_decomposition
     scc = tarjan_scc(g)
     per = []
     for ci, comp in enumerate(scc.components):
@@ -207,17 +206,18 @@ def _values_all_nodes(g: WeightedDigraph, t_builder, unit_wtp: bool, stats) -> l
             per.append(INF)
             continue
         sub, _ = induced_subgraph(g, comp)
-        s = _RatioSearch(sub, t_builder(sub), stats, unit_wtp=unit_wtp)
-        per.append(_search_value(s))
+        per.append(solve(sub))
     return propagate_component_values(g, scc, per)
 
 
 def ratio_values_all_nodes(g: WeightedDigraph, t_builder=None, stats=None) -> list:
-    return _values_all_nodes(g, t_builder, unit_wtp=False, stats=stats)
+    build = t_builder or build_decomposition
+    return values_all_nodes(g, lambda sub: ratio_value(sub, build(sub), stats)[0])
 
 
 def mean_values_all_nodes(g: WeightedDigraph, t_builder=None, stats=None) -> list:
-    return _values_all_nodes(g, t_builder, unit_wtp=True, stats=stats)
+    build = t_builder or build_decomposition
+    return values_all_nodes(g, lambda sub: mean_value(sub, build(sub), stats)[0])
 
 
 # -- approximation ---------------------------------------------------------------

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
+from graphvalues import treedec
 from graphvalues.cli import main
-from graphvalues.graph import WeightedDigraph, to_dimacs
+from graphvalues.generate import gen_sparse_random
+from graphvalues.graph import WeightedDigraph, component_has_cycle, tarjan_scc, to_dimacs
 
 
 @pytest.fixture
@@ -234,3 +237,107 @@ def test_bench_energy_json(tmp_path, capsys):
 def test_selftest_smoke(capsys):
     assert main(["selftest", "--count", "4", "--seed", "1"]) == 0
     assert "selftest passed" in capsys.readouterr().out
+
+
+# -- per-node agreement across algorithms -------------------------------------------
+
+
+def test_per_node_algo_agreement_multi_scc(tmp_path, capsys):
+    """Seeded sparse graphs with several SCCs, acyclic parts and inf nodes:
+    every --algo goes through the per-SCC driver and must print the same."""
+    multi_scc_with_inf = 0
+    for seed in range(40):
+        g = gen_sparse_random(5 + seed % 8, 1 + seed // 20, seed=seed, wt=(-6, 6), wtp=(1, 4))
+        p = tmp_path / f"g{seed}.gr"
+        p.write_text(to_dimacs(g))
+        first = {}
+        for problem, algos in (("mean", ("tw", "karp", "oracle")), ("ratio", ("tw", "oracle"))):
+            for algo in algos:
+                assert main([problem, str(p), "--algo", algo]) == 0, (seed, problem, algo)
+                out = capsys.readouterr().out
+                assert out == first.setdefault(problem, out), (seed, problem, algo)
+        scc = tarjan_scc(g)
+        cyclic = sum(component_has_cycle(g, scc, ci) for ci in range(len(scc.components)))
+        if cyclic >= 2 and "\tinf" in first["mean"]:
+            multi_scc_with_inf += 1
+    assert multi_scc_with_inf >= 1
+
+
+def test_oracle_on_long_cycle_is_not_recursive(tmp_path, capsys):
+    n = 3000
+    g = WeightedDigraph.from_edges(n, [(u, (u + 1) % n, 1) for u in range(n)])
+    p = tmp_path / "cycle.gr"
+    p.write_text(to_dimacs(g))
+    assert main(["mean", str(p), "--algo", "oracle"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == n
+    assert all(line.split("\t")[1] == "1/1" for line in lines)
+
+
+# -- decompositions built per call ------------------------------------------------------
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Every decomposition built during a call, as (heuristic, tree)."""
+    real = treedec.build_decomposition
+    seen = []
+
+    def recording(g, heuristic="min-degree", balance=True):
+        t = real(g, heuristic, balance)
+        seen.append((heuristic, t))
+        return t
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("graphvalues") and hasattr(mod, "build_decomposition"):
+            monkeypatch.setattr(mod, "build_decomposition", recording)
+    return seen
+
+
+@pytest.fixture
+def multi_scc_file(tmp_path):
+    # three 2-cycles (0,1), (2,3), (4,5) chained by one-way edges, plus an
+    # acyclic tail 6 -> 7: three cyclic SCCs, two acyclic ones
+    g = WeightedDigraph.from_edges(
+        8,
+        [(0, 1, 2), (1, 0, 1), (1, 2, 0), (2, 3, -1), (3, 2, 4), (3, 4, 5),
+         (4, 5, 3), (5, 4, 3), (5, 6, 1), (6, 7, 1)],
+    )
+    p = tmp_path / "multi.gr"
+    p.write_text(to_dimacs(g))
+    return str(p)
+
+
+def _stat(err: str, key: str) -> int:
+    return int(next(w for w in err.split() if w.startswith(key + "="))[len(key) + 1:])
+
+
+@pytest.mark.parametrize(
+    "argv, want_builds",
+    [
+        (["energy"], 1),
+        (["mincycle"], 1),
+        (["mean", "--decide", "1"], 1),
+        (["ratio", "--decide", "1"], 1),
+        (["mean", "--approx", "1/10"], 1),
+        (["mean"], 3),
+        (["ratio"], 3),
+        (["mean", "--algo", "karp"], 0),
+        (["mean", "--algo", "oracle"], 0),
+        (["energy", "--algo", "general"], 0),
+    ],
+)
+def test_one_decomposition_per_solve(multi_scc_file, builds, capsys, argv, want_builds):
+    argv = [argv[0], multi_scc_file, *argv[1:], "--stats", "--validate", "--heuristic", "min-fill"]
+    assert main(argv) in (0, 3)
+    err = capsys.readouterr().err
+    assert len(builds) == want_builds
+    assert all(h == "min-fill" for h, _ in builds)
+    assert _stat(err, "builds") == want_builds
+    if builds:
+        trees = [t for _, t in builds]
+        assert _stat(err, "width") == max(t.width for t in trees)
+        assert _stat(err, "height") == max(t.height for t in trees)
+        assert _stat(err, "bags") == sum(len(t.bags) for t in trees)
+    else:
+        assert "width=" not in err

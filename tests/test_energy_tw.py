@@ -169,7 +169,8 @@ def test_sssp_matches_bellman_ford_without_kills():
         g = small_random(seed, wt=(1, 9))  # positive weights: nothing to kill
         ag = AugmentedGraph(g)
         t2 = extend_decomposition_with_z(build_decomposition(g))
-        assert sssp_to_z_treedec(ag, t2) == _bf_dist_to_z(ag), seed
+        maps, _ = recompute_all_maps(ag, t2)
+        assert sssp_to_z_treedec(ag, t2, maps) == _bf_dist_to_z(ag), seed
 
 
 def test_sssp_matches_bellman_ford_after_kills():
@@ -177,8 +178,8 @@ def test_sssp_matches_bellman_ford_after_kills():
         g = small_random(seed, wt=(-6, 8))
         ag = AugmentedGraph(g)
         t2 = extend_decomposition_with_z(build_decomposition(g))
-        zero_energy_nodes_tw(ag, t2)
-        got = sssp_to_z_treedec(ag, t2)
+        _, maps = zero_energy_nodes_tw(ag, t2)
+        got = sssp_to_z_treedec(ag, t2, maps)
         want = _bf_dist_to_z(ag)
         for u in range(ag.z + 1):
             if ag.alive[u]:
