@@ -46,14 +46,14 @@ _STAT_PHASES = ("zero-test", "exponential", "binary", "rational-refine", "decide
 
 
 def _frac_text(v) -> str:
-    if v is INF:
+    if v == INF:
         return "inf"
     f = Fraction(v)
     return f"{f.numerator}/{f.denominator}"
 
 
 def _int_text(v) -> str:
-    return "inf" if v is INF else str(v)
+    return "inf" if v == INF else str(v)
 
 
 def _emit_json(payload: dict) -> None:
@@ -241,20 +241,24 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _bench_values(problem: str, algo: str, g, t):
-    """One timed run; returns (values, note)."""
-    if problem == "mean":
+def _bench_values(problem: str, algo: str, g, trees: _Trees):
+    """One timed run, building its decompositions through ``trees``;
+    returns (values, note)."""
+    if problem in ("mean", "ratio"):
+        ratio = problem == "ratio"
         if algo == "tw":
             stats = SearchStats()
-            return mean_values_all_nodes(g, None, stats), f"decisions={stats.decisions}"
-        if algo == "karp":
+            per_node = ratio_values_all_nodes if ratio else mean_values_all_nodes
+            return per_node(g, trees, stats), f"decisions={stats.decisions}"
+        if algo == "karp" and not ratio:
             return values_all_nodes(g, karp_mean), "-"
         if algo == "oracle":
-            return values_all_nodes(g, lambda s: min_mean_by_enumeration(enumerate_cycles(s))), "-"
+            pick = min_ratio_by_enumeration if ratio else min_mean_by_enumeration
+            return values_all_nodes(g, lambda s: pick(enumerate_cycles(s))), "-"
     else:
         if algo == "tw":
             stats = TwStats()
-            return energy_values_tw(g, t, stats), f"kills={stats.kills}"
+            return energy_values_tw(g, trees(g), stats), f"kills={stats.kills}"
         if algo == "general":
             return energy_values(g), "-"
         if algo == "oracle":
@@ -272,16 +276,17 @@ def _cmd_bench(args) -> int:
     rows = []
     for path in paths:
         g = load_graph(str(path))
-        t = build_decomposition(g)
         results = {}
         for algo in algos:
             for rep in range(args.reps):
+                trees = _Trees(args)
                 t0 = time.perf_counter()
-                values, note = _bench_values(args.problem, algo, g, t)
+                values, note = _bench_values(args.problem, algo, g, trees)
                 dt = time.perf_counter() - t0
-                rows.append(
-                    (path.name, g.n, g.m, t.width, t.height, algo, rep, f"{dt:.6f}", note)
-                )
+                ts = trees.built
+                width = max(t.width for t in ts) if ts else "-"
+                height = max(t.height for t in ts) if ts else "-"
+                rows.append((path.name, g.n, g.m, width, height, algo, rep, f"{dt:.6f}", note))
             results[algo] = values
         first = algos[0]
         for algo in algos[1:]:
@@ -418,11 +423,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time algorithms over a corpus, cross-validating results")
     p.add_argument("dir", help="directory of graph files")
-    p.add_argument("--problem", choices=("mean", "energy"), default="mean")
+    p.add_argument("--problem", choices=("mean", "ratio", "energy"), default="mean")
     p.add_argument("--algos", default="tw,karp", help="comma-separated algorithm list")
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_bench)
+    # tw rows build their trees like the per-node commands do by default
+    p.set_defaults(func=_cmd_bench, heuristic="min-degree", validate=False, stats=False)
 
     p = sub.add_parser("selftest", help="differential checks on small seeded instances")
     p.add_argument("--seed", type=int, default=0)

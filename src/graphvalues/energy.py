@@ -200,7 +200,7 @@ def sink_distance_values(ag: AugmentedGraph, dist) -> list:
         if not ag.alive[u]:
             continue
         d = dist[u]
-        if d is INF:
+        if d == INF:
             vals[u] = NEG_INF
         elif d <= 0:
             raise InvariantError("non-positive distance to the sink after kills")
@@ -222,7 +222,7 @@ def nonpositive_values(g: WeightedDigraph) -> list:
 
 def energy_values(g: WeightedDigraph) -> list:
     """Minimum initial credit per node, standard convention (>= 0 or inf)."""
-    return [INF if v is NEG_INF else -v for v in nonpositive_values(g.negated())]
+    return [INF if v == NEG_INF else -v for v in nonpositive_values(g.negated())]
 
 
 def decision_energy(g: WeightedDigraph, u: int, credit) -> bool:

@@ -267,7 +267,7 @@ def sssp_to_z_treedec(ag: AugmentedGraph, t2: TreeDecomposition, maps: list) -> 
             if v == x:
                 continue
             e = m.get(base + v)
-            if e is not None and dist[v] is not INF:
+            if e is not None and dist[v] != INF:
                 cand = e[0] + dist[v]
                 if cand < best:
                     best = cand
@@ -301,4 +301,4 @@ def energy_values_tw(
 ) -> list:
     """Minimum initial credit per node, standard convention (>= 0 or inf)."""
     vals = nonpositive_values_tw(g.negated(), t, stats)
-    return [INF if v is NEG_INF else -v for v in vals]
+    return [INF if v == NEG_INF else -v for v in vals]

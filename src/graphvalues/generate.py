@@ -21,6 +21,16 @@ def _is_strongly_connected(g: WeightedDigraph) -> bool:
     return g.n <= 1 or len(tarjan_scc(g)) == 1
 
 
+def _every_node_enters_and_leaves(n: int, raw: list[tuple]) -> bool:
+    """Whether every node has an in-edge and an out-edge, which a strongly
+    connected digraph on n > 1 nodes needs."""
+    has_out = [False] * n
+    has_in = [False] * n
+    for u, v, *_ in raw:
+        has_out[u] = has_in[v] = True
+    return all(has_out) and all(has_in)
+
+
 def ktree_skeleton(n: int, k: int, seed: int = 0) -> list[tuple[int, int]]:
     """Undirected edge list of a random k-tree on n nodes (a clique if n <= k+1)."""
     if n < 1 or k < 1:
@@ -53,22 +63,26 @@ def gen_ktree(
 
     With ensure_sc the orientation is redrawn up to ``retries`` times until
     the digraph is strongly connected, then falls back to orienting every
-    skeleton edge both ways (always strongly connected).
+    skeleton edge both ways (always strongly connected). A draw that leaves
+    some node without an in-edge or an out-edge is rejected before any graph
+    is built; the random numbers drawn are the same either way.
     """
     skel = ktree_skeleton(n, k, seed)
     rng = random.Random(seed + 1)
     for _ in range(max(1, retries)):
-        edges = []
+        raw = []
         for (u, v) in skel:
             r = rng.random()
             if r < 0.45:
-                edges.append(Edge(u, v, *_weights(rng, wt, wtp)))
+                raw.append((u, v, *_weights(rng, wt, wtp)))
             elif r < 0.9:
-                edges.append(Edge(v, u, *_weights(rng, wt, wtp)))
+                raw.append((v, u, *_weights(rng, wt, wtp)))
             else:
-                edges.append(Edge(u, v, *_weights(rng, wt, wtp)))
-                edges.append(Edge(v, u, *_weights(rng, wt, wtp)))
-        g = WeightedDigraph(n, edges)
+                raw.append((u, v, *_weights(rng, wt, wtp)))
+                raw.append((v, u, *_weights(rng, wt, wtp)))
+        if ensure_sc and n > 1 and not _every_node_enters_and_leaves(n, raw):
+            continue  # cannot be strongly connected; skip building it
+        g = WeightedDigraph(n, [Edge(*e) for e in raw])
         if not ensure_sc or _is_strongly_connected(g):
             return g
     edges = []

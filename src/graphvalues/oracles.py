@@ -143,16 +143,16 @@ def energy_fixpoint(g: WeightedDigraph) -> list:
     while changed:
         changed = False
         for u in range(n):
-            if not g.out[u] or f[u] is INF:
+            if not g.out[u] or f[u] == INF:
                 continue
             best = INF
             for i in g.out[u]:
                 e = g.edges[i]
                 fv = f[e.dst]
-                cand = INF if fv is INF else max(0, fv - e.wt)
+                cand = INF if fv == INF else max(0, fv - e.wt)
                 if cand < best:
                     best = cand
-            if best is not INF and best > clamp:
+            if best != INF and best > clamp:
                 best = INF
             if best != f[u]:
                 f[u] = best
@@ -192,7 +192,7 @@ def bellman_ford_edges(
         changed = False
         for (u, v, w) in edges:
             du = dist[u]
-            if du is INF:
+            if du == INF:
                 continue
             cand = du + w
             if cand < dist[v]:
@@ -204,7 +204,7 @@ def bellman_ford_edges(
     start = None
     for (u, v, w) in edges:
         du = dist[u]
-        if du is not INF and du + w < dist[v]:
+        if du != INF and du + w < dist[v]:
             dist[v] = du + w
             pred[v] = u
             start = v

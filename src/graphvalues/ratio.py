@@ -62,7 +62,7 @@ class _RatioSearch:
         w = [q * a - p * b for a, b in zip(self.wt, self.wtp)]
         r = min_cycle(self.g, self.t, weights=w)
         self.stats.record(phase, nu)
-        if r.value is INF:
+        if r.value == INF:
             return None
         return (r.value > 0) - (r.value < 0)
 
@@ -247,7 +247,7 @@ def approx_mean(
     s = _RatioSearch(g, t, stats, unit_wtp=True)
     base = min_cycle(g, t)
     s.stats.record("sweep", Fraction(0))
-    if base.value is INF:
+    if base.value == INF:
         raise ValueError("graph has no cycle; mean value undefined")
     if base.value == 0:
         return Fraction(0), s.stats
@@ -265,7 +265,7 @@ def approx_mean(
         s.wt = [a - base.value for a in s.wt]
         shifted = min_cycle(g, t, weights=s.wt)
         s.stats.record("sweep", Fraction(0))
-        if shifted.value is INF or shifted.value < 0:
+        if shifted.value == INF or shifted.value < 0:
             raise InvariantError("weight shift failed to clear negative cycles")
         if shifted.value == 0:
             return -shift, s.stats

@@ -46,6 +46,7 @@ class TreeDecomposition:
         "root_bag_of",
         "rooted",
         "_postorder",
+        "sweep_plan",
     )
 
     def __init__(self, bags, parent, n_nodes: int):
@@ -84,6 +85,7 @@ class TreeDecomposition:
                     self.root_bag_of[u] = b
                     self.rooted[b].append(u)
         self._postorder = None
+        self.sweep_plan = None  # mincycle.SweepPlan of the last graph swept on this tree
 
     @property
     def width(self) -> int:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -341,3 +343,58 @@ def test_one_decomposition_per_solve(multi_scc_file, builds, capsys, argv, want_
         assert _stat(err, "bags") == sum(len(t.bags) for t in trees)
     else:
         assert "width=" not in err
+
+
+# -- bench rows build their own decompositions, inside the timed span -------------------
+
+
+@pytest.mark.parametrize(
+    "problem, algos",
+    [("mean", ("tw", "karp", "oracle")), ("ratio", ("tw", "oracle")), ("energy", ("tw", "general", "oracle"))],
+)
+def test_bench_builds_each_tw_tree_inside_its_row(tmp_path, monkeypatch, capsys, problem, algos):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    graphs = {
+        "a.gr": WeightedDigraph.from_edges(
+            6, [(0, 1, 2, 1), (1, 0, 1, 2), (1, 2, 0, 1), (2, 3, -1, 3), (3, 2, 4, 1), (4, 5, 3, 1), (5, 4, 3, 2)]
+        ),
+        "b.gr": gen_sparse_random(9, 2, seed=4, wt=(-5, 5), wtp=(1, 3)),
+    }
+    for name, g in graphs.items():
+        (corpus / name).write_text(to_dimacs(g))
+    events, trees = [], []
+    real_build = treedec.build_decomposition
+
+    def recording(g, heuristic="min-degree", balance=True):
+        events.append("b")
+        trees.append(real_build(g, heuristic, balance))
+        return trees[-1]
+
+    def clock():
+        events.append("t")
+        return 0.0
+
+    monkeypatch.setattr(sys.modules["graphvalues.cli"], "build_decomposition", recording)
+    monkeypatch.setattr(sys.modules["graphvalues.cli"], "time", SimpleNamespace(perf_counter=clock))
+    assert main(["bench", str(corpus), "--problem", problem, "--algos", ",".join(algos), "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [(r["file"], r["algo"]) for r in rows] == [(f, a) for f in graphs for a in algos]
+    text = "".join(events)  # t: a clock read, b: a build
+    inside = re.findall("t(b*)t", text)
+    assert "".join(f"t{s}t" for s in inside) == text and len(inside) == len(rows)
+    built = iter(trees)
+    for row, builds_in_row in zip(rows, inside):
+        g = graphs[row["file"]]
+        if row["algo"] != "tw":
+            want = 0
+        elif problem == "energy":
+            want = 1
+        else:
+            scc = tarjan_scc(g)
+            want = sum(component_has_cycle(g, scc, ci) for ci in range(len(scc.components)))
+        assert builds_in_row == "b" * want, row
+        mine = [next(built) for _ in range(want)]
+        assert row["width"] == (max(t.width for t in mine) if mine else "-")
+        assert row["height"] == (max(t.height for t in mine) if mine else "-")
+    assert next(built, None) is None

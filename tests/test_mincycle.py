@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
+import pytest
 from conftest import sc_ktree, small_random
 
+from graphvalues import mincycle
 from graphvalues.graph import INF, WeightedDigraph
 from graphvalues.mincycle import has_negative_cycle, min_cycle
 from graphvalues.oracles import enumerate_cycles, min_cycle_weight_by_enumeration
+from graphvalues.ratio import SearchStats, mean_value, ratio_value
 from graphvalues.treedec import build_decomposition
 
 
@@ -94,3 +98,129 @@ def test_has_negative_cycle_agrees_with_enumeration():
         g = small_random(seed, wt=(-5, 7))
         cstar = min_cycle_weight_by_enumeration(enumerate_cycles(g))
         assert has_negative_cycle(g) == (cstar is not INF and cstar < 0), seed
+
+
+# -- the compiled sweep plan ---------------------------------------------------------
+
+
+def _retained_maps(t):
+    """Most child maps held at once when bags are swept in t.postorder()."""
+    live = peak = 0
+    for b in t.postorder():
+        live += 1 - len(t.children[b])
+        peak = max(peak, live)
+    return peak
+
+
+def _check_against_enumeration(g, r, t):
+    assert r.height == t.height
+    assert r.peak_maps == _retained_maps(t)
+    if all(len(c) <= 2 for c in t.children):
+        assert r.peak_maps <= t.height + 1  # holds on these small binary trees
+    cstar = min_cycle_weight_by_enumeration(enumerate_cycles(g))
+    if cstar == INF:
+        assert r.value == INF and r.exact
+        return
+    assert (r.value > 0) - (r.value < 0) == (cstar > 0) - (cstar < 0)  # sign always right
+    assert r.value <= cstar
+    if cstar >= 0:
+        assert r.exact and r.value == cstar
+
+
+def test_sweep_results_are_pinned():
+    """Every MinCycleResult field, negative undershoots included, is pinned
+    by a digest of the results the uncompiled dict sweep gave."""
+    rows = []
+    for seed in range(60):
+        for g in (sc_ktree(seed, wt=(-10, 10)), small_random(seed, wt=(-9, 9))):
+            for balance in (True, False):
+                r = min_cycle(g, build_decomposition(g, balance=balance))
+                rows.append((r.value, r.height, r.peak_maps, r.exact))
+    assert sum(r[0] < 0 for r in rows) == 182
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "16e0b65a15425ba5142752ea017617c1ac023733bcc1713a8c946c694591506d"
+
+
+def _trees(g):
+    yield "balanced", build_decomposition(g)
+    yield "raw", build_decomposition(g, balance=False)
+    yield "min-fill", build_decomposition(g, "min-fill")
+
+
+def _star(seed):
+    """Hub 0 with a 2-cycle to each of 3..6 leaves, plus a few leaf chords;
+    its raw elimination tree hangs every leaf bag off the hub's bag."""
+    rng = random.Random(seed)
+    k = rng.randint(3, 6)
+    edges = [(0, v, rng.randint(-9, 9)) for v in range(1, k + 1)]
+    edges += [(v, 0, rng.randint(-9, 9)) for v in range(1, k + 1)]
+    edges += [(v, v + 1, rng.randint(-9, 9)) for v in range(1, k) if rng.random() < 0.2]
+    return WeightedDigraph.from_edges(k + 1, edges)
+
+
+def test_plan_matches_enumeration_on_every_tree_kind():
+    makers = (lambda s: small_random(s, wt=(-9, 9)), lambda s: sc_ktree(s, wt=(-12, 12)), _star)
+    wide = 0
+    for seed in range(90):
+        g = makers[seed % 3](seed)
+        for kind, t in _trees(g):
+            wide += kind == "raw" and any(len(c) > 2 for c in t.children)
+            _check_against_enumeration(g, min_cycle(g, t), t)
+    assert wide >= 10  # raw trees with bags of more than two children were swept
+
+
+def test_repeated_sweeps_reuse_one_plan(monkeypatch):
+    compiled = []
+    real = mincycle.edge_fold_table
+
+    def counting(g, t):
+        compiled.append((g, t))
+        return real(g, t)
+
+    monkeypatch.setattr(mincycle, "edge_fold_table", counting)
+    for seed in range(25):
+        g = sc_ktree(seed, wt=(-10, 10))
+        rng = random.Random(seed)
+        for kind, t in _trees(g):
+            compiled.clear()
+            for _ in range(4):
+                w = [rng.randint(-10, 10) for _ in range(g.m)]
+                r = min_cycle(g, t, weights=w)
+                g2 = WeightedDigraph.from_edges(g.n, [(e.src, e.dst, w[i]) for i, e in enumerate(g.edges)])
+                _check_against_enumeration(g2, r, t)
+            assert compiled == [(g, t)], (seed, kind)
+
+
+def test_same_tree_with_another_graph_recompiles():
+    for seed in range(30):
+        g = sc_ktree(seed, wt=(0, 9))
+        t = build_decomposition(g)
+        assert min_cycle(g, t).value == min_cycle_weight_by_enumeration(enumerate_cycles(g))
+        plan = t.sweep_plan
+        # same skeleton, other orientation and weights: only some edges kept
+        rng = random.Random(seed)
+        kept = [(e.dst, e.src, rng.randint(0, 9)) for e in g.edges if rng.random() < 0.7]
+        h = WeightedDigraph.from_edges(g.n, kept)
+        r = min_cycle(h, t)
+        assert t.sweep_plan is not plan and t.sweep_plan.graph is h
+        assert r.value == min_cycle_weight_by_enumeration(enumerate_cycles(h)), seed
+        assert min_cycle(g, t).value == min_cycle_weight_by_enumeration(enumerate_cycles(g))
+        assert t.sweep_plan.graph is g
+
+
+@pytest.mark.parametrize("solve", [mean_value, ratio_value])
+def test_searches_compile_one_plan_per_decomposition(monkeypatch, solve):
+    calls = []
+    real = mincycle.edge_fold_table
+    monkeypatch.setattr(mincycle, "edge_fold_table", lambda g, t: calls.append(t) or real(g, t))
+    for seed in range(12):
+        g = sc_ktree(seed)
+        t = build_decomposition(g)
+        calls.clear()
+        stats = SearchStats()
+        solve(g, t, stats)
+        assert stats.decisions > 1
+        assert calls == [t], seed
+    calls.clear()
+    solve(g, None, SearchStats())  # a tree built by the search itself
+    assert len(calls) == 1
