@@ -23,7 +23,6 @@ from .energy_tw import (
     lift,
     nonpositive_values_tw,
     sssp_to_z_treedec,
-    triple_min,
     triple_plus,
     zero_energy_nodes_tw,
 )
@@ -41,13 +40,11 @@ from .graph import (
     to_dimacs,
     to_edgelist,
 )
-from .mincycle import MinCycleResult, has_negative_cycle, min_cycle
+from .mincycle import MinCycleResult, min_cycle
 from .ratio import (
     SearchStats,
     approx_mean,
-    decide_mean_eq,
     decide_mean_geq,
-    decide_ratio_eq,
     decide_ratio_geq,
     mean_value,
     mean_values_all_nodes,
@@ -81,16 +78,13 @@ __all__ = [
     "balance_and_binarize",
     "build_decomposition",
     "decide_initial_credit",
-    "decide_mean_eq",
     "decide_mean_geq",
-    "decide_ratio_eq",
     "decide_ratio_geq",
     "decision_energy",
     "detect_nonpositive_cycle",
     "energy_values",
     "energy_values_tw",
     "extend_decomposition_with_z",
-    "has_negative_cycle",
     "highest_energy_node",
     "induced_subgraph",
     "lift",
@@ -109,7 +103,6 @@ __all__ = [
     "tarjan_scc",
     "to_dimacs",
     "to_edgelist",
-    "triple_min",
     "triple_plus",
     "validate",
     "zero_energy_nodes",

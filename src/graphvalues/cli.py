@@ -16,11 +16,12 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .energy import decide_initial_credit, energy_values
 from .energy_tw import TwStats, energy_values_tw
 from .generate import generate
-from .graph import INF, InvariantError, ParseError, load_graph, to_dimacs
+from .graph import INF, InvariantError, load_graph, to_dimacs
 from .mincycle import min_cycle
 from .oracles import (
     OracleTooBigError,
@@ -60,25 +61,57 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps({"schema": 1, **payload}, indent=2))
 
 
-def _emit_values(args, problem: str, g, values, fmt) -> None:
-    if args.json:
-        _emit_json(
-            {
-                "problem": problem,
-                "algo": args.algo,
-                "file": args.file,
-                "values": {g.labels[u]: fmt(values[u]) for u in range(g.n)},
-            }
-        )
-    else:
-        for u in range(g.n):
-            print(f"{g.labels[u]}\t{fmt(values[u])}")
-
-
 def _search_stat_line(stats: SearchStats) -> str:
     parts = [f"decisions={stats.decisions}"]
     parts += [f"{p}={stats.count(p)}" for p in _STAT_PHASES if stats.count(p)]
     return " ".join(parts)
+
+
+def _energy_stat_line(stats: TwStats) -> str:
+    return f"kills={stats.kills} update_bags={stats.update_bags} hot_discarded={stats.hot_discarded}"
+
+
+def _by_enumeration(pick):
+    """Per-node solver: ``pick`` over the simple cycles of each cyclic SCC."""
+    return lambda g, trees, stats: values_all_nodes(g, lambda sub: pick(enumerate_cycles(sub)))
+
+
+class _Problem(NamedTuple):
+    stats: Callable  # a fresh stats object for one solve
+    stat_line: Callable  # stats -> its --stats text; bench's notes show the first figure
+    fmt: Callable  # one value -> its output text
+    # name -> solver (g, trees, stats) -> per-node values, where ``trees`` builds a
+    # decomposition of a graph; the first, "tw", is the default and the only one
+    # that builds trees or fills stats
+    algos: dict
+
+
+_PROBLEMS = {
+    "mean": _Problem(SearchStats, _search_stat_line, _frac_text, {
+        "tw": mean_values_all_nodes,
+        "karp": lambda g, trees, stats: values_all_nodes(g, karp_mean),
+        "oracle": _by_enumeration(min_mean_by_enumeration),
+    }),
+    "ratio": _Problem(SearchStats, _search_stat_line, _frac_text, {
+        "tw": ratio_values_all_nodes,
+        "oracle": _by_enumeration(min_ratio_by_enumeration),
+    }),
+    "energy": _Problem(TwStats, _energy_stat_line, _int_text, {
+        "tw": lambda g, trees, stats: energy_values_tw(g, trees(g), stats),
+        "general": lambda g, trees, stats: energy_values(g),
+        "oracle": lambda g, trees, stats: energy_fixpoint(g),
+    }),
+}
+
+
+def _disagreement(g, results: dict) -> str | None:
+    """The first node on which two algorithms' per-node values differ, or None."""
+    (first, want), *rest = results.items()
+    for algo, got in rest:
+        if got != want:
+            bad = next(u for u in range(g.n) if got[u] != want[u])
+            return f"node {g.labels[bad]} {first}={want[bad]} {algo}={got[bad]}"
+    return None
 
 
 class _Trees:
@@ -119,66 +152,53 @@ class _Trees:
 # -- subcommands ------------------------------------------------------------------
 
 
-def _cmd_cycle_value(args, problem: str) -> int:
+def _cmd_values(args, problem: str) -> int:
+    """Per-node values of ``problem`` by --algo, or the --decide / --approx answer."""
     g = load_graph(args.file)
     trees = _Trees(args)
-    ratio = problem == "ratio"
-    stats = SearchStats()
+    spec = _PROBLEMS[problem]
+    stats = spec.stats()
     if args.decide is not None:
-        nu = Fraction(args.decide)
-        decide = decide_ratio_geq if ratio else decide_mean_geq
-        ans = decide(g, trees(g), nu, stats)
-        trees.report(g, _search_stat_line(stats))
+        if problem == "energy":
+            label, credit_text = args.decide
+            u = g.label_id(label)
+            credit = int(credit_text)
+            ans = decide_initial_credit(g, u, credit)
+            asked = {"node": label, "credit": credit}
+        else:
+            nu = Fraction(args.decide)
+            decide = decide_ratio_geq if problem == "ratio" else decide_mean_geq
+            ans = decide(g, trees(g), nu, stats)
+            trees.report(g, spec.stat_line(stats))
+            asked = {"decide": _frac_text(nu)}
         if args.json:
-            _emit_json({"problem": problem, "decide": _frac_text(nu), "answer": ans})
+            _emit_json({"problem": problem, **asked, "answer": ans})
         else:
             print("yes" if ans else "no")
         return EXIT_OK if ans else EXIT_NO
-    if not ratio and args.approx is not None:
+    if problem == "mean" and args.approx is not None:
         eps = Fraction(args.approx)
         value, stats = approx_mean(g, trees(g), eps)
-        trees.report(g, _search_stat_line(stats))
+        trees.report(g, spec.stat_line(stats))
         if args.json:
             _emit_json({"problem": problem, "eps": _frac_text(eps), "value": _frac_text(value)})
         else:
             print(f"*\t{_frac_text(value)}")
         return EXIT_OK
-    if args.algo == "tw":
-        per_node = ratio_values_all_nodes if ratio else mean_values_all_nodes
-        values = per_node(g, trees, stats)
-    elif args.algo == "karp":
-        values = values_all_nodes(g, karp_mean)
-    else:  # oracle
-        pick = min_ratio_by_enumeration if ratio else min_mean_by_enumeration
-        values = values_all_nodes(g, lambda sub: pick(enumerate_cycles(sub)))
-    trees.report(g, _search_stat_line(stats) if args.algo == "tw" else "")
-    _emit_values(args, problem, g, values, _frac_text)
-    return EXIT_OK
-
-
-def _cmd_energy(args) -> int:
-    g = load_graph(args.file)
-    trees = _Trees(args)
-    if args.decide is not None:
-        label, credit_text = args.decide
-        u = g.label_id(label)
-        credit = int(credit_text)
-        ans = decide_initial_credit(g, u, credit)
-        if args.json:
-            _emit_json({"problem": "energy", "node": label, "credit": credit, "answer": ans})
-        else:
-            print("yes" if ans else "no")
-        return EXIT_OK if ans else EXIT_NO
-    tw_stats = TwStats()
-    if args.algo == "tw":
-        values = energy_values_tw(g, trees(g), tw_stats)
-    elif args.algo == "general":
-        values = energy_values(g)
-    else:  # oracle
-        values = energy_fixpoint(g)
-    kills = f"kills={tw_stats.kills} update_bags={tw_stats.update_bags} hot_discarded={tw_stats.hot_discarded}"
-    trees.report(g, kills if args.algo == "tw" else "")
-    _emit_values(args, "energy", g, values, _int_text)
+    values = spec.algos[args.algo](g, trees, stats)
+    trees.report(g, spec.stat_line(stats) if args.algo == "tw" else "")
+    if args.json:
+        _emit_json(
+            {
+                "problem": problem,
+                "algo": args.algo,
+                "file": args.file,
+                "values": {g.labels[u]: spec.fmt(values[u]) for u in range(g.n)},
+            }
+        )
+    else:
+        for u in range(g.n):
+            print(f"{g.labels[u]}\t{spec.fmt(values[u])}")
     return EXIT_OK
 
 
@@ -241,31 +261,6 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _bench_values(problem: str, algo: str, g, trees: _Trees):
-    """One timed run, building its decompositions through ``trees``;
-    returns (values, note)."""
-    if problem in ("mean", "ratio"):
-        ratio = problem == "ratio"
-        if algo == "tw":
-            stats = SearchStats()
-            per_node = ratio_values_all_nodes if ratio else mean_values_all_nodes
-            return per_node(g, trees, stats), f"decisions={stats.decisions}"
-        if algo == "karp" and not ratio:
-            return values_all_nodes(g, karp_mean), "-"
-        if algo == "oracle":
-            pick = min_ratio_by_enumeration if ratio else min_mean_by_enumeration
-            return values_all_nodes(g, lambda s: pick(enumerate_cycles(s))), "-"
-    else:
-        if algo == "tw":
-            stats = TwStats()
-            return energy_values_tw(g, trees(g), stats), f"kills={stats.kills}"
-        if algo == "general":
-            return energy_values(g), "-"
-        if algo == "oracle":
-            return energy_fixpoint(g), "-"
-    raise ValueError(f"algorithm {algo!r} does not apply to problem {problem!r}")
-
-
 def _cmd_bench(args) -> int:
     paths = sorted(p for p in Path(args.dir).iterdir() if p.is_file())
     if not paths:
@@ -273,33 +268,30 @@ def _cmd_bench(args) -> int:
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     if len(algos) < 1:
         raise ValueError("need at least one algorithm")
+    spec = _PROBLEMS[args.problem]
     rows = []
     for path in paths:
         g = load_graph(str(path))
         results = {}
         for algo in algos:
+            solve = spec.algos.get(algo)
+            if solve is None:
+                raise ValueError(f"algorithm {algo!r} does not apply to problem {args.problem!r}")
             for rep in range(args.reps):
                 trees = _Trees(args)
+                stats = spec.stats()
                 t0 = time.perf_counter()
-                values, note = _bench_values(args.problem, algo, g, trees)
+                results[algo] = solve(g, trees, stats)
                 dt = time.perf_counter() - t0
                 ts = trees.built
                 width = max(t.width for t in ts) if ts else "-"
                 height = max(t.height for t in ts) if ts else "-"
+                note = spec.stat_line(stats).split()[0] if algo == "tw" else "-"
                 rows.append((path.name, g.n, g.m, width, height, algo, rep, f"{dt:.6f}", note))
-            results[algo] = values
-        first = algos[0]
-        for algo in algos[1:]:
-            if results[algo] != results[first]:
-                bad = next(
-                    u for u in range(g.n) if results[algo][u] != results[first][u]
-                )
-                print(
-                    f"cross-validation mismatch on {path.name}: node {g.labels[bad]} "
-                    f"{first}={results[first][bad]} {algo}={results[algo][bad]}",
-                    file=sys.stderr,
-                )
-                return EXIT_INTERNAL
+        bad = _disagreement(g, results)
+        if bad:
+            print(f"cross-validation mismatch on {path.name}: {bad}", file=sys.stderr)
+            return EXIT_INTERNAL
     header = ("file", "n", "m", "width", "height", "algo", "rep", "seconds", "notes")
     if args.json:
         _emit_json(
@@ -316,45 +308,24 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    """bench's cross-check of every algorithm of every problem, on seeded
+    small k-trees and sparse random graphs."""
     from .generate import gen_ktree, gen_sparse_random
-    from .ratio import mean_value, ratio_value
-
-    def per_node_means_agree(g, seed) -> bool:
-        tw = mean_values_all_nodes(g)
-        karp = values_all_nodes(g, karp_mean)
-        if tw != karp:
-            print(f"selftest mismatch (per-node mean) seed={seed}: tw {tw} vs karp {karp}", file=sys.stderr)
-        return tw == karp
 
     checked = 0
     for i in range(args.count):
-        g = gen_ktree(4 + i % 6, 1 + i % 3, seed=args.seed + i, wt=(-8, 8), wtp=(1, 4))
-        cycles = enumerate_cycles(g)
-        want_mean = min_mean_by_enumeration(cycles)
-        want_ratio = min_ratio_by_enumeration(cycles)
-        got_mean, _ = mean_value(g)
-        got_ratio, _ = ratio_value(g)
-        if (got_mean, got_ratio) != (want_mean, want_ratio):
-            print(
-                f"selftest mismatch (cycle values) seed={args.seed + i}: "
-                f"mean {got_mean} vs {want_mean}, ratio {got_ratio} vs {want_ratio}",
-                file=sys.stderr,
-            )
-            return EXIT_INTERNAL
-        if not per_node_means_agree(g, args.seed + i):
-            return EXIT_INTERNAL
-        checked += 1
-    for i in range(args.count):
-        g = gen_sparse_random(5 + i % 6, 2, seed=args.seed + 1000 + i, wt=(-6, 6))
-        a = energy_values(g)
-        b = energy_values_tw(g)
-        c = energy_fixpoint(g)
-        if not (a == b == c):
-            print(f"selftest mismatch (energy) seed={args.seed + 1000 + i}: {a} {b} {c}", file=sys.stderr)
-            return EXIT_INTERNAL
-        if not per_node_means_agree(g, args.seed + 1000 + i):
-            return EXIT_INTERNAL
-        checked += 1
+        kseed, sseed = args.seed + i, args.seed + 1000 + i
+        for seed, g in (
+            (kseed, gen_ktree(4 + i % 6, 1 + i % 3, seed=kseed, wt=(-8, 8), wtp=(1, 4))),
+            (sseed, gen_sparse_random(5 + i % 6, 2, seed=sseed, wt=(-6, 6))),
+        ):
+            for problem, spec in _PROBLEMS.items():
+                results = {a: solve(g, build_decomposition, spec.stats()) for a, solve in spec.algos.items()}
+                bad = _disagreement(g, results)
+                if bad:
+                    print(f"selftest mismatch ({problem}) seed={seed}: {bad}", file=sys.stderr)
+                    return EXIT_INTERNAL
+            checked += 1
     print(f"selftest passed ({checked} instances)")
     return EXIT_OK
 
@@ -391,16 +362,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mean", help="minimum cycle mean per start node")
-    _add_common(p, algos=("tw", "karp", "oracle"), approx=True, decide_nargs=1)
-    p.set_defaults(func=lambda a: _cmd_cycle_value(a, "mean"))
+    _add_common(p, algos=tuple(_PROBLEMS["mean"].algos), approx=True, decide_nargs=1)
+    p.set_defaults(func=lambda a: _cmd_values(a, "mean"))
 
     p = sub.add_parser("ratio", help="minimum cycle ratio wt/wt' per start node")
-    _add_common(p, algos=("tw", "oracle"), decide_nargs=1)
-    p.set_defaults(func=lambda a: _cmd_cycle_value(a, "ratio"))
+    _add_common(p, algos=tuple(_PROBLEMS["ratio"].algos), decide_nargs=1)
+    p.set_defaults(func=lambda a: _cmd_values(a, "ratio"))
 
     p = sub.add_parser("energy", help="minimum initial credit per node")
-    _add_common(p, algos=("tw", "general", "oracle"), decide_nargs=2)
-    p.set_defaults(func=_cmd_energy)
+    _add_common(p, algos=tuple(_PROBLEMS["energy"].algos), decide_nargs=2)
+    p.set_defaults(func=lambda a: _cmd_values(a, "energy"))
 
     p = sub.add_parser("mincycle", help="minimum cycle weight (exact when >= 0)")
     _add_common(p)
@@ -423,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time algorithms over a corpus, cross-validating results")
     p.add_argument("dir", help="directory of graph files")
-    p.add_argument("--problem", choices=("mean", "ratio", "energy"), default="mean")
+    p.add_argument("--problem", choices=tuple(_PROBLEMS), default="mean")
     p.add_argument("--algos", default="tw,karp", help="comma-separated algorithm list")
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--json", action="store_true")
@@ -445,13 +416,7 @@ def main(argv=None) -> int:
         return EXIT_OK if not e.code else EXIT_INPUT
     try:
         return args.func(args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except OracleTooBigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, KeyError, OSError, ZeroDivisionError) as e:
+    except (ValueError, KeyError, OSError, ZeroDivisionError, OracleTooBigError) as e:  # ParseError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except InvariantError as e:

@@ -26,11 +26,10 @@ class AugmentedGraph:
     """A mutable copy of g plus sink z = g.n with a 0-weight edge z->u per u.
 
     Parallel edges collapse to their minimum weight, which is the only one
-    shortest-walk or cycle-sign questions can use. ``generation`` counts the
-    kills applied so far.
+    shortest-walk or cycle-sign questions can use.
     """
 
-    __slots__ = ("z", "weights", "out", "inc", "alive", "generation")
+    __slots__ = ("z", "weights", "out", "inc", "alive")
 
     def __init__(self, g: WeightedDigraph):
         self.z = g.n
@@ -38,7 +37,6 @@ class AugmentedGraph:
         self.out: list[set[int]] = [set() for _ in range(g.n + 1)]
         self.inc: list[set[int]] = [set() for _ in range(g.n + 1)]
         self.alive = [True] * (g.n + 1)
-        self.generation = 0
         for e in g.edges:
             self._set(e.src, e.dst, e.wt)
         for u in range(g.n):
@@ -63,14 +61,11 @@ class AugmentedGraph:
         """Current weight of the edge (u, v), or None when absent."""
         return self.weights.get((u, v))
 
-    def alive_count(self) -> int:
-        return sum(self.alive)
-
     def edges_alive(self):
         return self.weights.items()
 
     def kill(self, w: int) -> tuple[list[tuple[int, int, bool]], list[tuple[int, int]]]:
-        """Redirect in-edges of w onto z, delete w, bump the generation.
+        """Redirect in-edges of w onto z and delete w.
 
         Returns (removed_in, removed_out): removed_in holds (x, wt, lowered)
         per former edge (x, w) where ``lowered`` says the redirect created or
@@ -90,7 +85,6 @@ class AugmentedGraph:
             removed_out.append((y, self.weights[(w, y)]))
             self._del(w, y)
         self.alive[w] = False
-        self.generation += 1
         return removed_in, removed_out
 
 

@@ -34,15 +34,6 @@ from .treedec import TreeDecomposition, build_decomposition, fold_bag_of_edge
 # -- walk triples ------------------------------------------------------------------
 
 
-def triple_min(t1, t2):
-    """The triple of smaller walk weight; None stands for "no walk"."""
-    if t1 is None:
-        return t2
-    if t2 is None:
-        return t1
-    return t1 if t1[0] <= t2[0] else t2
-
-
 def triple_plus(t1, t2):
     """Concatenate two walk triples (end of t1 = start of t2).
 

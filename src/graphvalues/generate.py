@@ -4,7 +4,10 @@ All generators are deterministic functions of their arguments (one private
 ``random.Random(seed)`` each), so the same call produces byte-identical
 files. k-tree skeletons have treewidth <= k by construction, which is what
 the decomposition-based algorithms are fast on; cfg-like graphs imitate the
-sequential-blocks-plus-branches-plus-loops shape of compiled control flow.
+sequential-blocks-plus-branches-plus-loops shape of compiled control flow,
+but their back edges may jump to any earlier block, so their treewidth grows
+with n: a min-degree elimination of the seed-0 graphs has width 23 at
+n=500 and 106 at n=2000.
 """
 from __future__ import annotations
 
@@ -124,7 +127,8 @@ def gen_cfg_like(
     wt: tuple[int, int] = (-10, 10),
 ) -> WeightedDigraph:
     """Sequential blocks 0..n-1 with fallthrough edges, forward branches and
-    backward loop edges — the sparse, low-treewidth shape of control flow."""
+    backward loop edges — sparse, but not low-treewidth: a back edge from
+    block i targets any earlier block, so loops cross instead of nesting."""
     if n < 1:
         raise ValueError("need n >= 1")
     rng = random.Random(seed)

@@ -17,6 +17,10 @@ from typing import Iterable, Sequence
 
 INF = float("inf")
 
+# A DIMACS problem line declaring more nodes than this is refused: the parser
+# builds one label per declared node before reading any edge.
+DIMACS_MAX_NODES = 1_000_000
+
 
 class ParseError(ValueError):
     """Malformed graph input. Carries the 1-based input line number."""
@@ -114,12 +118,6 @@ class WeightedDigraph:
             self.n, [Edge(e.src, e.dst, -e.wt, e.wtp) for e in self.edges], self.labels
         )
 
-    def with_unit_wtp(self) -> "WeightedDigraph":
-        """Copy with every secondary weight forced to 1."""
-        return WeightedDigraph(
-            self.n, [Edge(e.src, e.dst, e.wt, 1) for e in self.edges], self.labels
-        )
-
     # -- simple accessors -----------------------------------------------------
 
     @property
@@ -129,10 +127,6 @@ class WeightedDigraph:
     def max_abs_weight(self) -> int:
         """W = max |wt| over edges (0 for an edgeless graph)."""
         return max((abs(e.wt) for e in self.edges), default=0)
-
-    def max_wtp(self) -> int:
-        """T = max wtp over edges (1 for an edgeless graph)."""
-        return max((e.wtp for e in self.edges), default=1)
 
     def label_id(self, label: str) -> int:
         try:
@@ -317,6 +311,8 @@ def _parse_dimacs(text: str) -> WeightedDigraph:
             m = _parse_int(parts[3], "edge count", ln)
             if n < 0 or m < 0:
                 raise ParseError("negative size in problem line", ln)
+            if n > DIMACS_MAX_NODES:
+                raise ParseError(f"node count {n} exceeds the limit of {DIMACS_MAX_NODES}", ln)
         elif parts[0] == "a":
             if n is None:
                 raise ParseError("edge line before problem line", ln)
@@ -398,7 +394,7 @@ def _parse_dot(text: str) -> WeightedDigraph:
             if name not in ids:
                 ids[name] = len(labels)
                 labels.append(name)
-        raw.append((ids[names[0]], ids[names[1]], int(m2.group(3)), 1))
+        raw.append((ids[names[0]], ids[names[1]], _parse_int(m2.group(3), "weight", ln), 1))
     return WeightedDigraph.from_edges(len(labels), raw, labels)
 
 

@@ -223,7 +223,6 @@ def min_cycle(
     g: WeightedDigraph,
     t: TreeDecomposition | None = None,
     weights: list | None = None,
-    heuristic: str = "min-degree",
 ) -> MinCycleResult:
     """Minimum cycle weight of g (see module docstring for the guarantee).
 
@@ -233,19 +232,10 @@ def min_cycle(
     object on the same tree compiles its own.
     """
     if t is None:
-        t = build_decomposition(g, heuristic)
+        t = build_decomposition(g)
     plan = t.sweep_plan
     if plan is None or plan.graph is not g:
         plan = t.sweep_plan = SweepPlan(g, t)
     wt = weights if weights is not None else [e.wt for e in g.edges]
     best = plan.run(t, wt)
     return MinCycleResult(best, plan.height, plan.peak_maps, best >= 0)
-
-
-def has_negative_cycle(
-    g: WeightedDigraph,
-    t: TreeDecomposition | None = None,
-    weights: list | None = None,
-) -> bool:
-    """Exact: the sweep's sign is always right."""
-    return min_cycle(g, t, weights).negative

@@ -8,13 +8,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .graph import INF, WeightedDigraph, tarjan_scc
 
 
+# Karp's table has (n + 1) * n cells; past this many a strongly connected
+# graph is refused before any is allocated (about 2000 nodes).
+KARP_MAX_CELLS = 4_000_000
+
+
 class OracleTooBigError(RuntimeError):
-    """Raised when the instance exceeds an enumeration cap; pick a smaller one."""
+    """Raised when the instance exceeds a reference's size cap; pick a smaller one."""
 
 
 @dataclass(frozen=True)
@@ -88,10 +93,13 @@ def karp_mean(g: WeightedDigraph) -> Fraction:
     Classical table D[k][v] = least weight of a walk with exactly k edges
     from a fixed source; the answer is min over v with D[n][v] finite of
     max over k with D[k][v] finite of (D[n][v] - D[k][v]) / (n - k).
+    Raises OracleTooBigError when the table would exceed KARP_MAX_CELLS.
     """
     n = g.n
     if n == 0:
         raise ValueError("empty graph has no cycles")
+    if (n + 1) * n > KARP_MAX_CELLS:
+        raise OracleTooBigError(f"Karp's table needs {(n + 1) * n} cells, more than {KARP_MAX_CELLS}")
     scc = tarjan_scc(g)
     if len(scc) != 1:
         raise ValueError("karp_mean requires a strongly connected graph")
@@ -160,27 +168,19 @@ def energy_fixpoint(g: WeightedDigraph) -> list:
     return f
 
 
-def bellman_ford(
-    g: WeightedDigraph,
+def bellman_ford_edges(
+    n: int,
+    edges: Sequence[tuple[int, int, int]],
     source: int | None = None,
-    weights: Sequence[int] | None = None,
 ) -> tuple[list, list, list[int] | None]:
-    """Shortest walk distances with predecessor links and a cycle witness.
+    """Shortest walk distances over (u, v, w) triples, with predecessor links
+    and a cycle witness.
 
     source=None starts every node at distance 0 (virtual super-source), which
     detects negative cycles anywhere. Returns (dist, pred, cycle); ``cycle``
     is a node list c0..ck with ck == c0 of negative total weight, or None.
     Distances are only shortest-path values when ``cycle`` is None.
     """
-    edges = [(e.src, e.dst, (weights[i] if weights is not None else e.wt)) for i, e in enumerate(g.edges)]
-    return bellman_ford_edges(g.n, edges, source)
-
-
-def bellman_ford_edges(
-    n: int,
-    edges: Sequence[tuple[int, int, int]],
-    source: int | None = None,
-) -> tuple[list, list, list[int] | None]:
     dist: list = [INF] * n
     pred: list = [None] * n
     if source is None:

@@ -165,28 +165,21 @@ def mean_value(
     return _search_value(s), s.stats
 
 
-def _decide(g, t, nu, stats, unit_wtp, want_eq):
+def _decide(g, t, nu, stats, unit_wtp):
     sg = _RatioSearch(g, t, stats, unit_wtp=unit_wtp).sign(Fraction(nu), "decide")
     if sg is None:
         raise ValueError("graph has no cycle; ratio value undefined")
-    return sg == 0 if want_eq else sg >= 0
+    return sg >= 0
 
 
 def decide_ratio_geq(g, t, nu, stats=None) -> bool:
     """Is the ratio value >= nu? Raises ValueError on acyclic input."""
-    return _decide(g, t, nu, stats, unit_wtp=False, want_eq=False)
-
-
-def decide_ratio_eq(g, t, nu, stats=None) -> bool:
-    return _decide(g, t, nu, stats, unit_wtp=False, want_eq=True)
+    return _decide(g, t, nu, stats, unit_wtp=False)
 
 
 def decide_mean_geq(g, t, nu, stats=None) -> bool:
-    return _decide(g, t, nu, stats, unit_wtp=True, want_eq=False)
-
-
-def decide_mean_eq(g, t, nu, stats=None) -> bool:
-    return _decide(g, t, nu, stats, unit_wtp=True, want_eq=True)
+    """Is the mean value >= nu? Raises ValueError on acyclic input."""
+    return _decide(g, t, nu, stats, unit_wtp=True)
 
 
 # -- per-node values ---------------------------------------------------------------

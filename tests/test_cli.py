@@ -7,10 +7,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from graphvalues import treedec
+from graphvalues import cli, treedec
 from graphvalues.cli import main
 from graphvalues.generate import gen_sparse_random
-from graphvalues.graph import WeightedDigraph, component_has_cycle, tarjan_scc, to_dimacs
+from graphvalues.graph import DIMACS_MAX_NODES, WeightedDigraph, component_has_cycle, tarjan_scc, to_dimacs
+from graphvalues.oracles import KARP_MAX_CELLS
 
 
 @pytest.fixture
@@ -239,6 +240,72 @@ def test_bench_energy_json(tmp_path, capsys):
 def test_selftest_smoke(capsys):
     assert main(["selftest", "--count", "4", "--seed", "1"]) == 0
     assert "selftest passed" in capsys.readouterr().out
+
+
+def test_algo_choices_bench_and_selftest_share_one_table(tmp_path, monkeypatch, capsys):
+    want = {
+        ("mean", "tw"), ("mean", "karp"), ("mean", "oracle"),
+        ("ratio", "tw"), ("ratio", "oracle"),
+        ("energy", "tw"), ("energy", "general"), ("energy", "oracle"),
+    }
+    commands = cli._build_parser()._subparsers._group_actions[0].choices
+    choices = {
+        (problem, algo)
+        for problem in ("mean", "ratio", "energy")
+        for algo in commands[problem]._option_string_actions["--algo"].choices
+    }
+    assert choices == want
+
+    (tmp_path / "g.gr").write_text(to_dimacs(gen_sparse_random(6, 2, seed=2, wt=(-4, 4))))
+    accepted = set()
+    for problem in ("mean", "ratio", "energy"):
+        for algo in ("tw", "karp", "general", "oracle"):
+            code = main(["bench", str(tmp_path), "--problem", problem, "--algos", algo])
+            assert code in (0, 1), (problem, algo)
+            if code == 0:
+                accepted.add((problem, algo))
+    assert accepted == want
+    capsys.readouterr()
+
+    checked = set()
+
+    def recording(problem, algo, solve):
+        def run(g, trees, stats):
+            checked.add((problem, algo))
+            return solve(g, trees, stats)
+        return run
+
+    table = {
+        problem: spec._replace(algos={a: recording(problem, a, s) for a, s in spec.algos.items()})
+        for problem, spec in cli._PROBLEMS.items()
+    }
+    monkeypatch.setattr(cli, "_PROBLEMS", table)
+    assert main(["selftest", "--count", "1"]) == 0
+    assert checked == want
+
+    assert main(["bench", str(tmp_path), "--problem", "ratio", "--algos", "tw,karp"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'karp'" in err
+
+
+def test_size_caps_exit_one(tmp_path, capsys):
+    n = 1
+    while (n + 1) * n <= KARP_MAX_CELLS:
+        n += 1
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    cycle = corpus / "cycle.gr"
+    cycle.write_text(to_dimacs(WeightedDigraph.from_edges(n, [(u, (u + 1) % n, 1) for u in range(n)])))
+    assert main(["mean", str(cycle), "--algo", "karp"]) == 1
+    assert capsys.readouterr().err.startswith("error: Karp's table needs")
+    assert main(["bench", str(corpus), "--algos", "tw,karp"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: Karp's table needs")
+
+    huge = tmp_path / "huge.gr"
+    huge.write_text(f"p mrc {DIMACS_MAX_NODES + 1} 0\n")
+    assert main(["energy", str(huge)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 1: node count")
 
 
 # -- per-node agreement across algorithms -------------------------------------------

@@ -14,7 +14,6 @@ from graphvalues.energy_tw import (
     nonpositive_values_tw,
     recompute_all_maps,
     sssp_to_z_treedec,
-    triple_min,
     triple_plus,
     zero_energy_nodes_tw,
 )
@@ -36,16 +35,6 @@ def test_triple_plus_keeps_later_peak_when_strictly_higher():
 
 def test_triple_plus_tie_prefers_left():
     assert triple_plus((2, "a", 3), (0, "b", 1)) == (2, "a", 3)
-
-
-def test_triple_min():
-    assert triple_min(None, (1, "a", 2)) == (1, "a", 2)
-    assert triple_min((1, "a", 2), None) == (1, "a", 2)
-    assert triple_min(None, None) is None
-    assert triple_min((1, "a", 5), (2, "b", 0)) == (1, "a", 5)
-    assert triple_min((2, "b", 0), (1, "a", 5)) == (1, "a", 5)
-    # ties keep the first argument
-    assert triple_min((1, "a", 5), (1, "b", 0)) == (1, "a", 5)
 
 
 def _edge_triple(u: int, v: int, w: int):

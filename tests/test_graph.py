@@ -4,8 +4,11 @@ import random
 
 import pytest
 from conftest import small_random
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphvalues.graph import (
+    DIMACS_MAX_NODES,
     INF,
     Edge,
     ParseError,
@@ -45,7 +48,6 @@ def test_basic_accessors(five_chain):
     g = five_chain
     assert g.n == 5 and g.m == 5
     assert g.max_abs_weight() == 3
-    assert g.max_wtp() == 1
     assert g.label_id("w") == 2
     with pytest.raises(KeyError):
         g.label_id("nope")
@@ -59,8 +61,6 @@ def test_negated_and_unit_wtp(ratio_pair):
     neg = ratio_pair.negated()
     assert [e.wt for e in neg.edges] == [-1, -2]
     assert [e.wtp for e in neg.edges] == [1, 1]
-    unit = ratio_pair.with_unit_wtp()
-    assert all(e.wtp == 1 for e in unit.edges)
     # originals untouched
     assert [e.wt for e in ratio_pair.edges] == [1, 2]
 
@@ -104,6 +104,39 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as exc:
         parse_graph("0 1 not_an_int\n", "edgelist")
     assert exc.value.line == 1
+
+
+def test_dimacs_node_count_cap():
+    with pytest.raises(ParseError, match="node count") as exc:
+        parse_graph(f"c too big\np mrc {DIMACS_MAX_NODES + 1} 0\n", "dimacs")
+    assert exc.value.line == 2
+    with pytest.raises(ParseError, match="node count"):
+        parse_any("p mrc 10000000000 0\n")
+    g = parse_graph("p mrc 3 1\na 1 3 -4\n", "dimacs")
+    assert (g.n, g.m, g.labels) == (3, 1, ["1", "2", "3"])
+
+
+# Tokens of all three formats, plus some that none accepts.
+_TOKENS = [
+    "p", "mrc", "a", "c", "#", "digraph", "G", "{", "}", "->", ";", "[", "]", "label", "=", '"',
+    "0", "1", "2", "3", "-1", "-7", "12", "x", "y_2", "1.5", "abc", str(DIMACS_MAX_NODES + 1), "9" * 5000,
+]
+
+
+@settings(max_examples=400)
+@given(st.lists(st.tuples(st.sampled_from(_TOKENS), st.sampled_from([" ", "\n", "", "\t"])), max_size=40))
+def test_parse_any_returns_a_graph_or_raises_parse_error(pieces):
+    text = "".join(tok + sep for tok, sep in pieces)
+    try:
+        g = parse_any(text)
+    except ParseError:
+        return
+    assert isinstance(g, WeightedDigraph)
+
+
+def test_dot_weight_too_long_for_int_is_a_parse_error():
+    with pytest.raises(ParseError, match="bad weight"):
+        parse_any("digraph { a -> b [label=" + "9" * 5000 + "]; }")
 
 
 def test_parse_any_sniffs_all_three_formats(five_chain):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -8,8 +9,8 @@ from conftest import sc_ktree, small_random
 
 from graphvalues.graph import INF, WeightedDigraph
 from graphvalues.oracles import (
+    KARP_MAX_CELLS,
     OracleTooBigError,
-    bellman_ford,
     bellman_ford_edges,
     energy_fixpoint,
     enumerate_cycles,
@@ -76,6 +77,32 @@ def test_karp_two_gadget(two_gadget):
     assert karp_mean(two_gadget) == Fraction(-1)
 
 
+def _cycle(n: int) -> WeightedDigraph:
+    return WeightedDigraph.from_edges(n, [(u, (u + 1) % n, 1) for u in range(n)])
+
+
+def test_karp_refuses_a_table_past_its_cap_before_allocating():
+    n = 1
+    while (n + 1) * n <= KARP_MAX_CELLS:
+        n += 1
+    g = _cycle(n)  # the smallest cycle whose table is over the cap
+    tracemalloc.start()
+    try:
+        with pytest.raises(OracleTooBigError, match="cells"):
+            karp_mean(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < KARP_MAX_CELLS  # bytes: the table's pointers alone would be 8 per cell
+
+
+def test_karp_cap_boundary(monkeypatch):
+    monkeypatch.setattr("graphvalues.oracles.KARP_MAX_CELLS", 30)
+    assert karp_mean(_cycle(5)) == Fraction(1)  # 6 * 5 = 30 cells
+    with pytest.raises(OracleTooBigError):
+        karp_mean(_cycle(6))  # 7 * 6 = 42 cells
+
+
 def _brute_shortest_from_source(g: WeightedDigraph, source) -> list:
     """Shortest walk weights by |V|-1 rounds of direct relaxation."""
     dist = [0] * g.n if source is None else [INF] * g.n
@@ -88,11 +115,15 @@ def _brute_shortest_from_source(g: WeightedDigraph, source) -> list:
     return dist
 
 
+def _triples(g: WeightedDigraph) -> list[tuple[int, int, int]]:
+    return [(e.src, e.dst, e.wt) for e in g.edges]
+
+
 def test_bellman_ford_distances_match_brute_force():
     for seed in range(60):
         g = small_random(seed, wt=(0, 9))  # nonnegative: no negative cycles
         for source in (None, 0 if g.n else None):
-            dist, pred, cycle = bellman_ford(g, source=source)
+            dist, pred, cycle = bellman_ford_edges(g.n, _triples(g), source)
             assert cycle is None
             assert dist == _brute_shortest_from_source(g, source), seed
 
@@ -101,7 +132,7 @@ def test_bellman_ford_witness_is_a_negative_cycle():
     found = 0
     for seed in range(120):
         g = small_random(seed, wt=(-6, 4))
-        dist, pred, cycle = bellman_ford(g)
+        dist, pred, cycle = bellman_ford_edges(g.n, _triples(g))
         cycles = enumerate_cycles(g)
         has_neg = any(c.wt < 0 for c in cycles)
         assert (cycle is not None) == has_neg, seed

@@ -19,9 +19,7 @@ from graphvalues.oracles import (
 from graphvalues.ratio import (
     SearchStats,
     approx_mean,
-    decide_mean_eq,
     decide_mean_geq,
-    decide_ratio_eq,
     decide_ratio_geq,
     mean_value,
     mean_values_all_nodes,
@@ -122,8 +120,6 @@ def test_decide_mean_truth_table(two_gadget):
     assert decide_mean_geq(g, None, Fraction(-1))
     assert decide_mean_geq(g, None, Fraction(-2))
     assert not decide_mean_geq(g, None, Fraction(-1, 2))
-    assert decide_mean_eq(g, None, Fraction(-1))
-    assert not decide_mean_eq(g, None, Fraction(0))
 
 
 def test_decide_ratio_truth_table(ratio_pair):
@@ -131,8 +127,6 @@ def test_decide_ratio_truth_table(ratio_pair):
     assert decide_ratio_geq(g, None, Fraction(3, 2))
     assert decide_ratio_geq(g, None, Fraction(1))
     assert not decide_ratio_geq(g, None, Fraction(2))
-    assert decide_ratio_eq(g, None, Fraction(3, 2))
-    assert not decide_ratio_eq(g, None, Fraction(14, 10))
 
 
 def test_decide_raises_on_acyclic():
@@ -147,7 +141,6 @@ def test_decide_mean_agrees_with_value(num, den):
     mu = mean_value(g)[0]
     nu = Fraction(num, den)
     assert decide_mean_geq(g, None, nu) == (mu >= nu)
-    assert decide_mean_eq(g, None, nu) == (mu == nu)
 
 
 # -- per-node values ---------------------------------------------------------------
