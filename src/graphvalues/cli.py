@@ -68,7 +68,10 @@ def _search_stat_line(stats: SearchStats) -> str:
 
 
 def _energy_stat_line(stats: TwStats) -> str:
-    return f"kills={stats.kills} update_bags={stats.update_bags} hot_discarded={stats.hot_discarded}"
+    return (
+        f"kills={stats.kills} rounds={stats.rounds} update_bags={stats.update_bags} "
+        f"hot_discarded={stats.hot_discarded}"
+    )
 
 
 def _by_enumeration(pick):
@@ -269,14 +272,15 @@ def _cmd_bench(args) -> int:
     if len(algos) < 1:
         raise ValueError("need at least one algorithm")
     spec = _PROBLEMS[args.problem]
+    for algo in algos:
+        if algo not in spec.algos:
+            raise ValueError(f"algorithm {algo!r} does not apply to problem {args.problem!r}")
     rows = []
     for path in paths:
         g = load_graph(str(path))
         results = {}
         for algo in algos:
-            solve = spec.algos.get(algo)
-            if solve is None:
-                raise ValueError(f"algorithm {algo!r} does not apply to problem {args.problem!r}")
+            solve = spec.algos[algo]
             for rep in range(args.reps):
                 trees = _Trees(args)
                 stats = spec.stats()
@@ -309,15 +313,17 @@ def _cmd_bench(args) -> int:
 
 def _cmd_selftest(args) -> int:
     """bench's cross-check of every algorithm of every problem, on seeded
-    small k-trees and sparse random graphs."""
+    small k-trees, sparse random graphs and kill-heavy k-trees."""
     from .generate import gen_ktree, gen_sparse_random
 
     checked = 0
     for i in range(args.count):
-        kseed, sseed = args.seed + i, args.seed + 1000 + i
+        kseed, sseed, hseed = args.seed + i, args.seed + 1000 + i, args.seed + 2000 + i
         for seed, g in (
             (kseed, gen_ktree(4 + i % 6, 1 + i % 3, seed=kseed, wt=(-8, 8), wtp=(1, 4))),
             (sseed, gen_sparse_random(5 + i % 6, 2, seed=sseed, wt=(-6, 6))),
+            # mostly non-negative cycles: most nodes have zero credit, killed in several rounds
+            (hseed, gen_ktree(6 + i % 6, 1 + i % 3, seed=hseed, wt=(-2, 8), wtp=(1, 4))),
         ):
             for problem, spec in _PROBLEMS.items():
                 results = {a: solve(g, build_decomposition, spec.stats()) for a, solve in spec.algos.items()}

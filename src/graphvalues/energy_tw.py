@@ -2,26 +2,42 @@
 
 This mirrors :mod:`.energy` (same augmented graph, same kill rule, same
 final shortest-path-to-sink step) but replaces every Bellman-Ford scan with
-bag-local work. Each bag keeps a sparse map from node pairs (u, v) to a
-*triple* (a, b, c) summarizing the best known walk u -> v whose
-intermediates are rooted in the bag's subtree: a is the walk weight, c the
-maximum prefix sum over the walk's eligible positions (every position whose
-node is not the sink z; the empty prefix counts), and b the anchor — a node
-attaining that maximum. A diagonal entry (u, u) with a <= 0 certifies a
-non-positive cycle, and its anchor is a highest-energy node of that cycle,
+bag-local work. Walks are summarized by *triples* (a, b, c): a is the walk
+weight, c the maximum prefix sum over the walk's eligible positions (every
+position whose node is not the sink z; the empty prefix counts), and b the
+anchor — a node attaining that maximum. A closed walk with a <= 0 certifies
+a non-positive cycle, and its anchor is a highest-energy node of that cycle,
 so it can be killed directly without re-running any global detection.
 
-Kills are processed from a queue. Each kill touches only the bags where the
-deleted and redirected edges fold, so repairing the maps means recomputing
-the ancestor closure of those bags, bottom-up — O(deg * height) bag updates
-per kill. Queue entries whose anchor has already died are discarded: the
-energies of surviving nodes are unchanged by kills, and any still-alive
-non-positive cycle re-announces itself during the repair of every kill that
-touches it.
+A bag b rooting node x summarizes the best known walks between its nodes
+whose intermediates are rooted in b's subtree, in two parts:
 
-When the queue is empty, the weight parts of the final maps are the
-min-plus closure of the final graph, so the distances to the sink are read
-off them in one top-down pass.
+- the *exported map*, keyed by u * (z + 1) + v, holds the pairs (u, v)
+  with u, v != x. In a normalized tree the bag minus x is a subset of the
+  parent bag, so the parent takes this map as it is;
+- the *row* ``(diag, outs)`` holds the (x, x) diagonal and the (x, v)
+  entries as ``(v, triple)`` pairs, which the distance pass reads.
+
+A bag is recomputed from its children's exported maps and its fold set, a
+dict of the lifted triples of the edges folded there (each lifted once,
+when its edge is assigned or lowered): merge, fold, pop the entries that
+involve x, and close the pairs (u, x) + (x, v). Pairs through x itself are
+never closed: the parent does not contain x.
+
+Kills run in rounds. A round takes every anchor reported since the last
+one: each has zero energy, and kills do not change the energy of the
+surviving nodes, so all of them are killed at once, an anchor reported
+twice or already dead being skipped. Each kill touches only the bags where
+its deleted and redirected edges fold, and the round then recomputes the
+union of the touched bags' ancestor chains once, deepest first: O(touched *
+height) bag updates per round, however many kills it holds. Anchors
+reported during that repair form the next round. Every bag whose map holds
+a walk through a killed node is recomputed after the kill, so a
+non-positive cycle that survives the round reports itself again.
+
+When no anchor is left, the weight parts of the rows are the min-plus
+closure of the final graph, so the distances to the sink are read off them
+in one top-down pass.
 """
 from __future__ import annotations
 
@@ -86,180 +102,194 @@ class TwStats:
     kills: int = 0
     initial_bags: int = 0
     update_bags: int = 0  # bags recomputed during kill repairs
-    hot_discarded: int = 0  # queue entries whose anchor was already dead
+    hot_discarded: int = 0  # reported anchors not killed: already dead, or repeated in a round
+    rounds: int = 0  # repair rounds: one batch of kills, then one repair
 
 
 class _TwState:
-    """Bag maps, fold assignments and the hot queue for one augmented graph."""
+    """Exported maps, rows, fold sets and reported anchors for one augmented graph."""
 
-    __slots__ = ("ag", "t2", "stats", "stride", "maps", "fold", "edge_bag", "post_index", "hot")
+    __slots__ = (
+        "ag", "t2", "stats", "stride", "rooted", "exported", "rows", "fold", "edge_bag", "hot"
+    )
 
     def __init__(self, ag: AugmentedGraph, t2: TreeDecomposition, stats: TwStats):
         self.ag = ag
         self.t2 = t2
         self.stats = stats
-        self.stride = ag.z + 1
-        self.maps: list = [None] * len(t2.bags)
-        self.fold: list[set] = [set() for _ in t2.bags]
-        self.edge_bag: dict[tuple[int, int], int] = {}
+        self.stride = stride = ag.z + 1
+        nb = len(t2.bags)
+        self.rooted = [t2.single_rooted(b) for b in range(nb)]
+        self.exported: list = [None] * nb
+        self.rows: list = [None] * nb
+        self.fold: list[dict] = [{} for _ in range(nb)]
+        self.edge_bag: dict[int, int] = {}
         for (u, v) in ag.weights:
             b = fold_bag_of_edge(t2, u, v)
-            self.edge_bag[(u, v)] = b
-            self.fold[b].add((u, v))
-        self.post_index = {b: i for i, b in enumerate(t2.postorder())}
-        self.hot: list[int] = []  # anchors of newly seen non-positive diagonals
+            k = u * stride + v
+            self.edge_bag[k] = b
+            self.fold[b][k] = lift(ag.weight_of, u, v, ag.z)
+        self.hot: list[int] = []  # anchors of newly seen non-positive closed walks
 
     def recompute_bag(self, b: int) -> None:
-        t2, stride = self.t2, self.stride
-        bag = t2.bags[b]
-        z = self.ag.z
-        wts = self.ag.weights
-        cur: dict[int, tuple] = {}
-        for ch in t2.children[b]:
-            for k, tri in self.maps[ch].items():
-                u, v = divmod(k, stride)
-                if u in bag and v in bag:
-                    old = cur.get(k)
-                    if old is None or tri[0] < old[0]:
-                        cur[k] = tri
-        for (u, v) in sorted(self.fold[b]):
-            tri = lift(lambda a, c: wts[(a, c)], u, v, z)
-            k = u * stride + v
-            old = cur.get(k)
+        exported = self.exported
+        ch = self.t2.children[b]
+        cur = dict(exported[ch[0]]) if ch else {}
+        get = cur.get
+        for c in ch[1:]:
+            for k, tri in exported[c].items():
+                old = get(k)
+                if old is None or tri[0] < old[0]:
+                    cur[k] = tri
+        fold = self.fold[b]
+        for k, tri in fold.items():
+            old = get(k)
             if old is None or tri[0] < old[0]:
                 cur[k] = tri
-                if u == v and tri[0] <= 0:
-                    self.hot.append(tri[1])
-        x = t2.single_rooted(b)
-        if x is not None:
-            into = []
-            out = []
-            for k, tri in cur.items():
-                u, v = divmod(k, stride)
-                if v == x:
-                    into.append((u, tri))
-                if u == x:
-                    out.append((v, tri))
-            for u, t1 in into:
-                a1, b1, c1 = t1
-                base = u * stride
-                for v, t2_ in out:
-                    a = a1 + t2_[0]
-                    k = base + v
-                    old = cur.get(k)
+        x = self.rooted[b]
+        if x is None:
+            exported[b] = cur
+            return
+        stride = self.stride
+        pop = cur.pop
+        base = x * stride
+        diag = pop(base + x, None)
+        # a non-positive (x, x) out of a child map was reported where it was
+        # made; only a self-loop folded here is new
+        if diag is not None and diag[0] <= 0 and fold.get(base + x) is diag:
+            self.hot.append(diag[1])
+        ins = []
+        outs = []
+        for v in self.t2.bags[b]:
+            if v != x:
+                tri = pop(base + v, None)
+                if tri is not None:
+                    outs.append((v, tri))
+                tri = pop(v * stride + x, None)
+                if tri is not None:
+                    ins.append((v, tri))
+        if outs:
+            hot = self.hot
+            for u, (a1, b1, c1) in ins:
+                ubase = u * stride
+                for v, (a2, b2, c2) in outs:
+                    a = a1 + a2
+                    k = ubase + v
+                    old = get(k)
                     if old is None or a < old[0]:
-                        s = a1 + t2_[2]
-                        tri = (a, b1, c1) if c1 >= s else (a, t2_[1], s)
+                        s = a1 + c2
+                        tri = (a, b1, c1) if c1 >= s else (a, b2, s)
                         cur[k] = tri
-                        if u == v and a <= 0:
-                            self.hot.append(tri[1])
-        self.maps[b] = cur
+                        if a <= 0 and u == v:
+                            hot.append(tri[1])
+        exported[b] = cur
+        self.rows[b] = (diag, outs)
 
     def initial_pass(self) -> None:
         for b in self.t2.postorder():
             self.recompute_bag(b)
         self.stats.initial_bags += len(self.t2.bags)
 
-    def apply_kill(self, w: int) -> None:
-        ag, t2 = self.ag, self.t2
-        pairs = {(x, w) for x in ag.inc[w]} | {(w, y) for y in ag.out[w]}
+    def kill(self, w: int, touched: set) -> None:
+        """Kill w and keep the fold sets in step, adding the bags it touched."""
+        ag, stride, z = self.ag, self.stride, self.ag.z
+        keys = {x * stride + w for x in ag.inc[w]} | {w * stride + y for y in ag.out[w]}
         removed_in, _ = ag.kill(w)
-        touched = set()
-        for k in pairs:
+        for k in keys:
             b = self.edge_bag.pop(k)
-            self.fold[b].discard(k)
+            del self.fold[b][k]
             touched.add(b)
         for x, _, lowered in removed_in:
             if not lowered:
                 continue
-            k = (x, ag.z)
+            k = x * stride + z
             b = self.edge_bag.get(k)
             if b is None:
-                b = fold_bag_of_edge(t2, x, ag.z)
-                self.edge_bag[k] = b
-                self.fold[b].add(k)
+                b = self.edge_bag[k] = fold_bag_of_edge(self.t2, x, z)
+            self.fold[b][k] = lift(ag.weight_of, x, z, z)
             touched.add(b)
+        self.stats.kills += 1
+
+    def repair(self, touched: set) -> None:
+        """Recompute the union of the touched bags' ancestor chains, deepest first."""
+        parent = self.t2.parent
         dirty = set()
         for b in touched:
             while b is not None and b not in dirty:
                 dirty.add(b)
-                b = t2.parent[b]
-        for b in sorted(dirty, key=self.post_index.__getitem__):
+                b = parent[b]
+        for b in sorted(dirty, key=self.t2.level.__getitem__, reverse=True):
             self.recompute_bag(b)
         self.stats.update_bags += len(dirty)
-        self.stats.kills += 1
+        self.stats.rounds += 1
 
 
 def zero_energy_nodes_tw(
     ag: AugmentedGraph,
     t2: TreeDecomposition,
     stats: TwStats | None = None,
-) -> tuple[list[int], dict]:
+) -> tuple[list[int], list]:
     """Kill every zero-energy node of the augmented graph, bag-locally.
 
-    Returns the killed nodes in discovery order and the final bag maps,
-    which :func:`sssp_to_z_treedec` reads. ``ag`` is mutated in place; ``t2``
-    must be the extended decomposition.
+    Returns the killed nodes in kill order and the final rows, which
+    :func:`sssp_to_z_treedec` reads. ``ag`` is mutated in place; ``t2``
+    must be the extended decomposition, normalized (InvariantError if not).
     """
     st = _TwState(ag, t2, stats if stats is not None else TwStats())
     st.initial_pass()
+    alive = ag.alive
     xs: list[int] = []
-    head = 0
-    while head < len(st.hot):
-        w = st.hot[head]
-        head += 1
-        if not ag.alive[w]:
-            st.stats.hot_discarded += 1
-            continue
-        st.apply_kill(w)
-        xs.append(w)
-        if len(xs) > ag.z:
-            raise InvariantError("kill loop outlived the node budget")
-    return xs, st.maps
+    while st.hot:
+        batch, st.hot = st.hot, []
+        touched: set[int] = set()
+        for w in batch:
+            if alive[w]:
+                st.kill(w, touched)
+                xs.append(w)
+            else:
+                st.stats.hot_discarded += 1
+        st.repair(touched)
+    return xs, st.rows
 
 
 def recompute_all_maps(ag: AugmentedGraph, t2: TreeDecomposition) -> tuple[list, list[int]]:
-    """Fresh bottom-up pass over the current graph: (bag maps, hot anchors).
+    """Fresh bottom-up pass over the current graph: (rows, hot anchors).
 
     After the kill loop finished, the hot list of a fresh pass must be empty
     — no non-positive cycle survives. Exposed for exactly that check.
     """
     st = _TwState(ag, t2, TwStats())
     st.initial_pass()
-    return st.maps, st.hot
+    return st.rows, st.hot
 
 
-def sssp_to_z_treedec(ag: AugmentedGraph, t2: TreeDecomposition, maps: list) -> list:
+def sssp_to_z_treedec(ag: AugmentedGraph, t2: TreeDecomposition, rows: list) -> list:
     """Exact distance from every node to the sink in the final graph.
 
-    ``maps`` are the bag maps left by :func:`zero_energy_nodes_tw`; the
-    weight part of each triple is the min-plus closure of the final graph
-    over the bag's subtree. One top-down sweep reads the distances: the
-    node rooted at a bag closes over the bag's other members, which are all
-    rooted at strict ancestors and therefore already final. A non-positive
+    ``rows`` are the rows left by :func:`zero_energy_nodes_tw`; the weight
+    part of each triple is the min-plus closure of the final graph over the
+    bag's subtree. One top-down sweep reads the distances: the node x rooted
+    at a bag closes over the bag's other members, which are all rooted at
+    strict ancestors and therefore already final. A non-positive (x, x)
     diagonal means a surviving non-positive cycle and raises.
     """
-    stride = ag.z + 1
-    dist: list = [INF] * stride
+    dist: list = [INF] * (ag.z + 1)
     for b in t2.bfs_order:
-        x = t2.single_rooted(b)
-        if x is None:
+        row = rows[b]
+        if row is None:
             continue
-        m = maps[b]
-        base = x * stride
-        d = m.get(base + x)
-        if d is not None and d[0] <= 0:
+        diag, outs = row
+        if diag is not None and diag[0] <= 0:
             raise InvariantError("non-positive cycle in shortest-path pass")
+        x = t2.single_rooted(b)
         if x == ag.z:
             dist[x] = 0
             continue
         best = INF
-        for v in t2.bags[b]:
-            if v == x:
-                continue
-            e = m.get(base + v)
-            if e is not None and dist[v] != INF:
-                cand = e[0] + dist[v]
+        for v, e in outs:
+            d = dist[v]
+            if d != INF:
+                cand = e[0] + d
                 if cand < best:
                     best = cand
         dist[x] = best
@@ -281,8 +311,8 @@ def nonpositive_values_tw(
         t = build_decomposition(g)
     ag = AugmentedGraph(g)
     t2 = extend_decomposition_with_z(t)
-    _, maps = zero_energy_nodes_tw(ag, t2, stats)
-    return sink_distance_values(ag, sssp_to_z_treedec(ag, t2, maps))
+    _, rows = zero_energy_nodes_tw(ag, t2, stats)
+    return sink_distance_values(ag, sssp_to_z_treedec(ag, t2, rows))
 
 
 def energy_values_tw(

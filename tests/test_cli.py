@@ -9,7 +9,8 @@ import pytest
 
 from graphvalues import cli, treedec
 from graphvalues.cli import main
-from graphvalues.generate import gen_sparse_random
+from graphvalues.energy_tw import TwStats, energy_values_tw
+from graphvalues.generate import gen_ktree, gen_sparse_random
 from graphvalues.graph import DIMACS_MAX_NODES, WeightedDigraph, component_has_cycle, tarjan_scc, to_dimacs
 from graphvalues.oracles import KARP_MAX_CELLS
 
@@ -283,9 +284,44 @@ def test_algo_choices_bench_and_selftest_share_one_table(tmp_path, monkeypatch, 
     assert main(["selftest", "--count", "1"]) == 0
     assert checked == want
 
+    checked.clear()
     assert main(["bench", str(tmp_path), "--problem", "ratio", "--algos", "tw,karp"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'karp'" in err
+    assert checked == set()  # refused before any solver ran
+
+
+def test_energy_stats_report_repair_rounds(tmp_path, capsys):
+    g = gen_ktree(12, 2, seed=3, wt=(-2, 8))
+    p = tmp_path / "g.gr"
+    p.write_text(to_dimacs(g))
+    assert main(["energy", str(p), "--stats"]) == 0
+    err = capsys.readouterr().err
+    stats = TwStats()
+    energy_values_tw(g, treedec.build_decomposition(g), stats)
+    assert _stat(err, "kills") == stats.kills
+    assert _stat(err, "rounds") == stats.rounds
+    assert _stat(err, "update_bags") == stats.update_bags
+    assert _stat(err, "hot_discarded") == stats.hot_discarded
+    assert 1 < stats.rounds < stats.kills
+
+
+def test_selftest_kills_in_several_rounds(monkeypatch, capsys):
+    rounds = []
+    spec = cli._PROBLEMS["energy"]
+    tw = spec.algos["tw"]
+
+    def recording(g, trees, stats):
+        values = tw(g, trees, stats)
+        rounds.append(stats.rounds)
+        return values
+
+    table = dict(cli._PROBLEMS, energy=spec._replace(algos={**spec.algos, "tw": recording}))
+    monkeypatch.setattr(cli, "_PROBLEMS", table)
+    assert main(["selftest", "--count", "6"]) == 0
+    assert "selftest passed (18 instances)" in capsys.readouterr().out
+    kill_heavy = rounds[2::3]  # each seed draws a k-tree, a sparse graph, a kill-heavy k-tree
+    assert len(kill_heavy) == 6 and max(kill_heavy) > 1
 
 
 def test_size_caps_exit_one(tmp_path, capsys):

@@ -5,7 +5,12 @@ import random
 import pytest
 from conftest import small_random
 
-from graphvalues.energy import AugmentedGraph, nonpositive_values, zero_energy_nodes
+from graphvalues.energy import (
+    AugmentedGraph,
+    nonpositive_values,
+    sink_distance_values,
+    zero_energy_nodes,
+)
 from graphvalues.energy_tw import (
     TwStats,
     energy_values_tw,
@@ -17,9 +22,9 @@ from graphvalues.energy_tw import (
     triple_plus,
     zero_energy_nodes_tw,
 )
-from graphvalues.graph import INF, WeightedDigraph
+from graphvalues.graph import INF, InvariantError, WeightedDigraph
 from graphvalues.oracles import bellman_ford_edges, energy_fixpoint
-from graphvalues.treedec import build_decomposition, validate
+from graphvalues.treedec import TreeDecomposition, build_decomposition, validate
 
 
 # -- triple algebra ---------------------------------------------------------------
@@ -215,3 +220,87 @@ def test_stats_are_filled_and_bounded():
 def test_explicit_decomposition_is_respected(two_gadget):
     t = build_decomposition(two_gadget)
     assert nonpositive_values_tw(two_gadget, t) == nonpositive_values(two_gadget)
+
+
+# -- kill rounds on cascades ---------------------------------------------------------------
+
+
+def _cascade_graph(seed: int) -> WeightedDigraph:
+    """Non-positive cycles plus chains of non-positive edges feeding them.
+
+    The cycles (self-loops included) hold zero-energy nodes from the start.
+    A chain x_k -> ... -> x_1 -> w of non-positive edges into such a node is
+    zero-energy too, but x_1 only closes a non-positive cycle (through the
+    sink) once w is killed and the edge (x_1, w) is redirected, so every
+    link waits for the kill ahead of it. Chains may feed other chains, and
+    positive cross edges tie the pieces together.
+    """
+    rng = random.Random(seed)
+    edges = []
+    n = 0
+    targets = []
+    for _ in range(rng.randint(1, 3)):
+        size = rng.randint(1, 3)
+        ws = [rng.randint(-3, 2) for _ in range(size)]
+        ws[-1] -= max(0, sum(ws))
+        edges += [(n + i, n + (i + 1) % size, ws[i]) for i in range(size)]
+        targets += range(n, n + size)
+        n += size
+    for _ in range(rng.randint(2, 4)):
+        ahead = rng.choice(targets)
+        for _ in range(rng.randint(1, 4)):
+            edges.append((n, ahead, rng.randint(-3, 0)))
+            targets.append(n)
+            ahead = n
+            n += 1
+    pairs = {(u, v) for u, v, _ in edges}
+    for _ in range(rng.randint(0, n // 2)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v and (u, v) not in pairs:
+            pairs.add((u, v))
+            edges.append((u, v, rng.randint(1, 6)))
+    return WeightedDigraph.from_edges(n, edges)
+
+
+def _weights(rows):
+    return [None if r is None else (r[0] and r[0][0], [(v, e[0]) for v, e in r[1]]) for r in rows]
+
+
+def test_kill_rounds_on_cascades_match_the_references():
+    most_rounds = 0
+    batched = 0
+    for seed in range(60):
+        g = _cascade_graph(seed)
+        want_xs, _ = zero_energy_nodes(g)
+        want = nonpositive_values(g)
+        want_std = energy_fixpoint(g.negated())
+        for t in (
+            build_decomposition(g),
+            build_decomposition(g, balance=False),
+            build_decomposition(g, "min-fill"),
+        ):
+            ag = AugmentedGraph(g)
+            t2 = extend_decomposition_with_z(t)
+            stats = TwStats()
+            xs, rows = zero_energy_nodes_tw(ag, t2, stats)
+            assert len(xs) == len(set(xs)) == stats.kills, seed
+            assert set(xs) == set(want_xs), seed
+            assert sink_distance_values(ag, sssp_to_z_treedec(ag, t2, rows)) == want, seed
+            fresh_rows, hot = recompute_all_maps(ag, t2)
+            assert hot == [], seed
+            # the repaired rows are the rows of a fresh pass over the final graph
+            assert _weights(rows) == _weights(fresh_rows), seed
+            assert energy_values_tw(g.negated(), t) == want_std, seed
+            most_rounds = max(most_rounds, stats.rounds)
+            batched += stats.rounds < stats.kills
+    assert most_rounds >= 3  # the chains really cascade
+    assert batched >= 1  # and some rounds kill several anchors at once
+
+
+def test_unnormalized_decomposition_raises():
+    g = WeightedDigraph.from_edges(2, [(0, 1, -1), (1, 0, 0)])
+    t = TreeDecomposition([{0, 1}], [None], 2)  # one bag rooting both nodes
+    with pytest.raises(InvariantError):
+        zero_energy_nodes_tw(AugmentedGraph(g), extend_decomposition_with_z(t))
+    with pytest.raises(InvariantError):
+        nonpositive_values_tw(g, t)
