@@ -43,7 +43,7 @@ from .ratio import (
 from .treedec import build_decomposition, decomposition_to_text, validate
 
 EXIT_OK, EXIT_INPUT, EXIT_INTERNAL, EXIT_NO = 0, 1, 2, 3
-_STAT_PHASES = ("zero-test", "exponential", "binary", "rational-refine", "decide", "sweep", "bisect")
+_STAT_PHASES = ("zero-test", "newton", "binary", "rational-refine", "decide", "sweep", "bisect")
 
 
 def _frac_text(v) -> str:

@@ -23,11 +23,16 @@ undershoot the true minimum: closing through x can splice walks that share
 edges, so c only satisfies c <= c* and |c| <= |c*| * m * 2**height. Sign
 questions are therefore answered exactly, which is all the decision
 procedures built on top of this need.
+
+Besides the minimum, a sweep reports every negative diagonal entry (x, x)
+it reads at a root bag (MinCycleResult.closed_walks): each is the weight of
+one closed walk through x, which the exact ratio search packs with the
+walk's wt' sum to take Newton steps (see ratio.py).
 """
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import add, itemgetter
 
 from .graph import INF, WeightedDigraph
@@ -40,6 +45,9 @@ class MinCycleResult:
     height: int
     peak_maps: int  # most maps simultaneously retained during the sweep
     exact: bool  # True iff value >= 0 or value is INF
+    # Every negative diagonal entry (x, x) read at a root bag, before the
+    # doubling: each is the weight of one closed walk through x.
+    closed_walks: list = field(default_factory=list)
 
     @property
     def negative(self) -> bool:
@@ -172,14 +180,16 @@ class SweepPlan:
         self.peak_maps = peak
         self.height = t.height
 
-    def run(self, t: TreeDecomposition, wt) -> object:
-        """Minimum closed-walk weight found by the sweep under weights ``wt``
-        (indexed like the graph's edges), or INF."""
+    def run(self, t: TreeDecomposition, wt) -> tuple:
+        """``(best, walks)`` under weights ``wt`` (indexed like the graph's
+        edges): the minimum closed-walk weight found by the sweep, or INF,
+        and the negative diagonal entries met at root bags."""
         ws = [wt[i] for i in self.edge_order]
         p = 0
         maps: list = [None] * len(t.bags)
         children = t.children
         best = INF
+        walks = []
         for b, (take, extra, fold, new, fresh, closed, diag) in zip(t.postorder(), self.steps):
             ch = children[b]
             if len(ch) == 1:
@@ -212,11 +222,12 @@ class SweepPlan:
             if diag >= 0:
                 d = cur[diag]
                 if d < 0:
+                    walks.append(d)
                     d += d  # the cycle through x taken twice
                 if d < best:
                     best = d
             maps[b] = cur
-        return best
+        return best, walks
 
 
 def min_cycle(
@@ -237,5 +248,5 @@ def min_cycle(
     if plan is None or plan.graph is not g:
         plan = t.sweep_plan = SweepPlan(g, t)
     wt = weights if weights is not None else [e.wt for e in g.edges]
-    best = plan.run(t, wt)
-    return MinCycleResult(best, plan.height, plan.peak_maps, best >= 0)
+    best, walks = plan.run(t, wt)
+    return MinCycleResult(best, plan.height, plan.peak_maps, best >= 0, walks)

@@ -1,18 +1,49 @@
 """Minimum cycle mean and minimum cycle ratio.
 
 The ratio value of a graph is the minimum over its cycles C of
-wt(C) / wt'(C), where the secondary weights wt' are >= 1 per edge; the mean
-value is the special case wt' = 1. Everything here reduces to sign questions
-about reweighted minimum cycles: for nu = p/q the cycle inequality
-wt(C)/wt'(C) >= nu is equivalent to sum(q*wt(e) - p*wt'(e)) >= 0 over C, so
-one reweighted sweep decides nu* vs nu exactly (the sweep has exact sign
+nu* = wt(C) / wt'(C), where the secondary weights wt' are >= 1 per edge; the
+mean value is the special case wt' = 1. For lam = p/q the cycle inequality
+wt(C)/wt'(C) >= lam is equivalent to sum(q*wt(e) - p*wt'(e)) >= 0 over C, so
+one reweighted sweep decides nu* vs lam exactly (the sweep has exact sign
 even when its value is inexact).
 
-The exact value search probes nu = 0, brackets |nu*| by doubling, binary
-searches the integer part, then bisects the remaining unit interval down to
-width < 1/D**2 with D = n * max(wt'), at which point at most one fraction
-with denominator <= D fits in the interval and a Stern-Brocot walk
-reconstructs it. All probes are counted in SearchStats.
+Packing. The exact value search sweeps with the packed edge weights
+(q*wt(e) - p*wt'(e)) * K + wt'(e), K = 2**(max_wt'.bit_length() + height + 3).
+Every map slot of the sweep then holds the packed sum c*K + s of one real
+walk, c its reweighted weight and s its wt' sum, and divmod(value, K) gives
+both back, provided 1 <= s < K. That holds: s >= 1 because wt' >= 1. A bag's
+slots come from its children's slots, single folded edges, and closure
+candidates (u, x) + (x, v) whose two parts are slots the closure does not
+update, so a bag's walks have at most twice as many edges as the longest
+walk below it, and at most 2 at a leaf bag: at most 2**(height + 1) edges.
+The diagonal doubling d += d at most doubles once more, so
+s <= max_wt' * 2**(height + 2) < K / 2. With 1 <= s < K, min-plus on the
+packed values is the lexicographic minimum of (c, s): each slot's c is the
+plain sweep's value, ties go to the smaller s, and the packed value has the
+sign of c, so the sweep itself needs no change.
+
+Newton step (Dinkelbach). A sweep at lam whose c is negative reports every
+negative diagonal value met at a root bag (MinCycleResult.closed_walks),
+each the packed (c, s) of a closed walk W through the bag's node. The
+search moves to lam' = lam + c/(q*s) = wt(W)/wt'(W) for the W with the
+smallest c/s (not the most negative c, which tends to be a long spliced
+walk with a ratio near lam). Then nu* <= lam' < lam, because a closed walk's ratio is an average
+of the ratios of the cycles it decomposes into. The search stops at the
+first lam whose sweep gives c = 0: lam is a walk ratio, so nu* <= lam, and
+c >= 0 means nu* >= lam.
+
+Start. The zero test sweeps lam = 0: c = 0 gives nu* = 0, and a negative c
+is already Newton's first step. When it is positive, the search starts at
+lam0 = max over edges of wt/wt', which bounds every cycle ratio from above.
+
+Fallback. Newton gets at most _newton_cap steps, as many as the bisection
+below needs for the whole magnitude bound. Past the cap, the last swept lam
+(negative, so nu* < lam) and a strict lower bound bracket nu*; a binary
+search narrows the bracket to integer ends one apart, then it is bisected
+down to width < 1/D**2 with D = n * max(wt'), at which point at most one
+fraction with denominator <= D fits in the interval and a Stern-Brocot walk
+reconstructs it. All sweeps are counted in SearchStats by phase: zero-test,
+newton, binary, rational-refine.
 """
 from __future__ import annotations
 
@@ -55,6 +86,7 @@ class _RatioSearch:
         self.wt = [e.wt for e in g.edges]
         self.wtp = [1] * g.m if unit_wtp else [e.wtp for e in g.edges]
         self.t_max = max(self.wtp, default=1)
+        self.pack = 2 ** (self.t_max.bit_length() + self.t.height + 3)
 
     def sign(self, nu: Fraction, phase: str):
         """cmp(nu*, nu): +1 / 0 / -1, or None when the graph is acyclic."""
@@ -65,6 +97,28 @@ class _RatioSearch:
         if r.value == INF:
             return None
         return (r.value > 0) - (r.value < 0)
+
+    def step(self, lam: Fraction, phase: str):
+        """One packed sweep at lam: None when the graph is acyclic, else
+        (c, lam') with c the sweep's reweighted value and lam' the smallest
+        ratio among the closed walks it reported (None unless c < 0)."""
+        p, q = lam.numerator, lam.denominator
+        k = self.pack
+        a, b = q * k, p * k - 1  # (q*wt - p*wt')*k + wt' = a*wt - b*wt'
+        w = [a * x - b * y for x, y in zip(self.wt, self.wtp)]
+        r = min_cycle(self.g, self.t, weights=w)
+        self.stats.record(phase, lam)
+        if r.value == INF:
+            return None
+        c = r.value // k
+        if c >= 0:
+            return c, None
+        best_c, best_s = 0, 1
+        for v in r.closed_walks:
+            wc, ws = divmod(v, k)
+            if wc * best_s < best_c * ws:
+                best_c, best_s = wc, ws
+        return c, Fraction(best_c + p * best_s, q * best_s)
 
 
 def simplest_between(a: Fraction, b: Fraction) -> Fraction:
@@ -85,38 +139,48 @@ def simplest_between(a: Fraction, b: Fraction) -> Fraction:
     return ia + 1 / simplest_between(1 / fb, 1 / fa)
 
 
+def _newton_cap(n: int, w_max: int, t_max: int) -> int:
+    """Newton steps allowed before falling back to bisection: the number of
+    bisection sweeps that narrow |nu*| <= w_max to width 1/(n*t_max)**2."""
+    return (w_max * (n * t_max) ** 2).bit_length() + 2
+
+
 def _search_value(s: _RatioSearch) -> Fraction:
-    g = s.g
-    sign0 = s.sign(Fraction(0), "zero-test")
-    if sign0 is None:
+    found = s.step(Fraction(0), "zero-test")
+    if found is None:
         raise ValueError("graph has no cycle; ratio value undefined")
-    if sign0 == 0:
-        return Fraction(0)
+    lam = Fraction(0)
+    c, nxt = found
+    positive = c > 0
+    if positive:
+        top_a, top_b = s.wt[0], s.wtp[0]
+        for a, b in zip(s.wt, s.wtp):
+            if a * top_b > top_a * b:
+                top_a, top_b = a, b
+        lam = Fraction(top_a, top_b)
+        c, nxt = s.step(lam, "newton")
+    cap = _newton_cap(s.g.n, max(1, s.g.max_abs_weight()), s.t_max)
+    steps = 0
+    while c < 0:
+        if steps == cap:
+            return _bisect(s, positive, lam)
+        if not nxt < lam:
+            raise InvariantError("a Newton step failed to lower the ratio value")
+        lam = nxt
+        c, nxt = s.step(lam, "newton")
+        steps += 1
+    if c != 0:
+        raise InvariantError("the Newton search ended on a positive sweep")
+    return lam
 
-    # Exponential bracketing of the integer part. |nu*| <= max|wt| because
-    # wt' >= 1 per edge, so the doubling must stop within the cap.
-    w_max = max(1, g.max_abs_weight())
-    cap = max(1, g.n * w_max).bit_length() + 2
-    direction = sign0  # +1: nu* > 0, search right; -1: nu* < 0, search left
-    lo, hi = (Fraction(0), None) if direction > 0 else (None, Fraction(0))
-    for i in range(cap + 1):
-        probe = Fraction(direction * 2**i)
-        sg = s.sign(probe, "exponential")
-        if sg == 0:
-            return probe
-        if direction > 0:
-            if sg < 0:
-                hi = probe
-                break
-            lo = probe
-        else:
-            if sg > 0:
-                lo = probe
-                break
-            hi = probe
-    if lo is None or hi is None:
-        raise InvariantError("ratio value escaped its magnitude bound")
 
+def _bisect(s: _RatioSearch, positive: bool, lam: Fraction) -> Fraction:
+    """nu* by bisection, given nu* < lam and the sign of nu*."""
+    if positive:
+        lo = Fraction(0)
+    else:  # strictly below min wt/wt' <= nu*
+        lo = Fraction(min(a // b for a, b in zip(s.wt, s.wtp)) - 1)
+    hi = Fraction(-(-lam.numerator // lam.denominator))  # ceil(lam) > nu*
     # Binary search for the floor; invariant lo < nu* < hi throughout.
     while hi - lo > 1:
         mid = Fraction((lo + hi) // 2)
@@ -129,7 +193,7 @@ def _search_value(s: _RatioSearch) -> Fraction:
             hi = mid
 
     # Bisect (floor, floor+1) until only one candidate denominator <= D fits.
-    d_bound = g.n * s.t_max
+    d_bound = s.g.n * s.t_max
     while (hi - lo) * d_bound * d_bound >= 1:
         mid = (lo + hi) / 2
         sg = s.sign(mid, "rational-refine")
@@ -189,17 +253,18 @@ def values_all_nodes(g: WeightedDigraph, solve) -> list:
     """Per start node: the best value among cycles reachable from it.
 
     ``solve`` maps the induced subgraph of one cyclic strongly connected
-    component to its value; component values then flow backward over the
-    condensation.
+    component to its value (g itself when the component is all of g);
+    component values then flow backward over the condensation.
     """
     scc = tarjan_scc(g)
     per = []
     for ci, comp in enumerate(scc.components):
         if not component_has_cycle(g, scc, ci):
             per.append(INF)
-            continue
-        sub, _ = induced_subgraph(g, comp)
-        per.append(solve(sub))
+        elif len(comp) == g.n:
+            per.append(solve(g))
+        else:
+            per.append(solve(induced_subgraph(g, comp)[0]))
     return propagate_component_values(g, scc, per)
 
 

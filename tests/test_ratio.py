@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,12 @@ from conftest import sc_ktree, small_random
 from hypothesis import given
 from hypothesis import strategies as st
 
-from graphvalues.graph import INF, WeightedDigraph, tarjan_scc
+from graphvalues import ratio
+from graphvalues.generate import gen_sparse_random
+from graphvalues.graph import INF, WeightedDigraph, induced_subgraph, tarjan_scc
 from graphvalues.mincycle import min_cycle
 from graphvalues.oracles import (
+    bellman_ford_edges,
     enumerate_cycles,
     karp_mean,
     min_mean_by_enumeration,
@@ -27,6 +31,7 @@ from graphvalues.ratio import (
     ratio_values_all_nodes,
     simplest_between,
 )
+from graphvalues.treedec import build_decomposition
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40
@@ -105,11 +110,135 @@ def test_stats_accumulate_and_phase_names():
     mean_value(g, stats=stats)
     assert stats.decisions == len(stats.probes)
     assert stats.count("zero-test") == 1
-    known = {"zero-test", "exponential", "binary", "rational-refine"}
+    known = {"zero-test", "newton", "binary", "rational-refine"}
     assert {p for p, _ in stats.probes} <= known
     before = stats.decisions
     mean_value(g, stats=stats)  # shared stats keep accumulating
     assert stats.decisions == 2 * before
+
+
+# -- Newton search ---------------------------------------------------------------
+
+
+def _tall_trees(g):
+    yield "raw", build_decomposition(g, balance=False)
+    yield "min-fill", build_decomposition(g, "min-fill", balance=False)
+    yield "balanced", build_decomposition(g)
+
+
+def _largest_scc(n, deg, seed, wtp):
+    g = gen_sparse_random(n, avg_degree=deg, seed=seed, wt=(-20, 20), wtp=wtp)
+    return induced_subgraph(g, max(tarjan_scc(g).components, key=len))[0]
+
+
+def _has_negative_cycle(g, nu):
+    edges = [(e.src, e.dst, nu.denominator * e.wt - nu.numerator * e.wtp) for e in g.edges]
+    return bellman_ford_edges(g.n, edges)[2] is not None
+
+
+def test_newton_matches_karp_and_ratio_certificate_on_tall_trees():
+    # nu is the ratio value iff no cycle is below nu and one is below
+    # nu + 1/D**2: two ratios with denominators <= D differ by >= 1/D**2.
+    for seed in range(4):
+        g = _largest_scc(180, 3, seed, wtp=(2, 9))
+        d_bound = g.n * max(e.wtp for e in g.edges)
+        mu = karp_mean(g)
+        for kind, t in _tall_trees(g):
+            assert t.height >= 40, (seed, kind)
+            assert mean_value(g, t)[0] == mu, (seed, kind)
+            nu, stats = ratio_value(g, t)
+            assert not _has_negative_cycle(g, nu), (seed, kind)
+            assert _has_negative_cycle(g, nu + Fraction(1, d_bound**2)), (seed, kind)
+            assert {p for p, _ in stats.probes} <= {"zero-test", "newton"}, (seed, kind)
+
+
+def test_newton_matches_enumeration_on_every_tree_kind():
+    for seed in range(30):
+        g = _largest_scc(60, 1.6, seed, wtp=(2, 7))
+        if g.m == 0:
+            continue
+        cycles = enumerate_cycles(g)
+        for kind, t in _tall_trees(g):
+            assert mean_value(g, t)[0] == min_mean_by_enumeration(cycles), (seed, kind)
+            assert ratio_value(g, t)[0] == min_ratio_by_enumeration(cycles), (seed, kind)
+
+
+def _within_criterion_7(val, stats):
+    a, b = val.numerator, val.denominator
+    if a == 0:
+        return stats.decisions <= 2
+    return stats.decisions <= 8 * (1 + math.log2(max(2, abs(a * b)))) + 2
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_forced_fallback_stays_exact_and_within_budget(monkeypatch, cap):
+    monkeypatch.setattr(ratio, "_newton_cap", lambda n, w_max, t_max: cap)
+    fell_back = 0
+    for seed in range(150):
+        g = sc_ktree(seed)
+        t = build_decomposition(g)
+        cycles = enumerate_cycles(g)
+        for solve, want in ((mean_value, min_mean_by_enumeration), (ratio_value, min_ratio_by_enumeration)):
+            stats = SearchStats()
+            val, _ = solve(g, t, stats)
+            assert val == want(cycles), (seed, solve.__name__)
+            assert _within_criterion_7(val, stats), (seed, solve.__name__, stats.decisions)
+            assert stats.count("newton") <= cap + 1
+            fell_back += stats.count("binary") + stats.count("rational-refine") > 0
+    assert fell_back >= 50
+
+
+def _ring(n, seed):
+    """A ring 0 -> 1 -> ... -> n-1 -> 0 of mostly negative edges with
+    positive edges back: the best cycles are long, and the raw min-degree
+    tree is a tall path of bags."""
+    rng = random.Random(seed)
+    edges = []
+    for u in range(n):
+        v = (u + 1) % n
+        edges.append((u, v, rng.randint(-9, 3), rng.randint(1, 30)))
+        edges.append((v, u, rng.randint(10, 20), rng.randint(1, 30)))
+    return WeightedDigraph.from_edges(n, edges)
+
+
+def test_packed_walks_stay_below_the_packing_base(monkeypatch):
+    seen = []
+    real = ratio.min_cycle
+
+    def recording(g, t=None, weights=None):
+        r = real(g, t, weights=weights)
+        seen.append(r)
+        return r
+
+    monkeypatch.setattr(ratio, "min_cycle", recording)
+    for seed in range(6):
+        g = _ring(60, seed)
+        t = build_decomposition(g, balance=False)
+        assert t.height >= 40
+        cycles = enumerate_cycles(g)
+        for solve, want, t_max in (
+            (ratio_value, min_ratio_by_enumeration, max(e.wtp for e in g.edges)),
+            (mean_value, min_mean_by_enumeration, 1),
+        ):
+            k = 2 ** (t_max.bit_length() + t.height + 3)
+            seen.clear()
+            assert solve(g, t)[0] == want(cycles), (seed, solve.__name__)
+            sums = [v % k for r in seen for v in r.closed_walks + [r.value]]
+            assert max(sums) >= g.n  # the whole ring was packed
+            for s in sums:
+                assert 1 <= s <= t_max * 2 ** (t.height + 2) < k, (seed, s, k)
+
+
+def test_newton_never_records_exponential():
+    phases = set()
+    for seed in range(200):
+        g = sc_ktree(seed)
+        for solve in (mean_value, ratio_value):
+            stats = SearchStats()
+            solve(g, stats=stats)
+            assert stats.count("zero-test") == 1
+            phases |= {p for p, _ in stats.probes}
+    assert phases == {"zero-test", "newton"}
 
 
 # -- decision procedures ---------------------------------------------------------------
