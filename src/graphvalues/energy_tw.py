@@ -300,16 +300,20 @@ def sssp_to_z_treedec(ag: AugmentedGraph, t2: TreeDecomposition, rows: list) -> 
 
 
 def nonpositive_values_tw(
-    g: WeightedDigraph,
+    g: WeightedDigraph | AugmentedGraph,
     t: TreeDecomposition | None = None,
     stats: TwStats | None = None,
 ) -> list:
-    """Energy per node, non-positive convention; decomposition-based."""
-    if g.n == 0:
+    """Energy per node, non-positive convention; decomposition-based.
+
+    ``g`` may also be a fresh AugmentedGraph, which the kills use up; ``t``
+    must then be given, decomposing its original nodes.
+    """
+    ag = g if isinstance(g, AugmentedGraph) else AugmentedGraph(g)
+    if ag.z == 0:
         return []
     if t is None:
         t = build_decomposition(g)
-    ag = AugmentedGraph(g)
     t2 = extend_decomposition_with_z(t)
     _, rows = zero_energy_nodes_tw(ag, t2, stats)
     return sink_distance_values(ag, sssp_to_z_treedec(ag, t2, rows))
@@ -321,5 +325,7 @@ def energy_values_tw(
     stats: TwStats | None = None,
 ) -> list:
     """Minimum initial credit per node, standard convention (>= 0 or inf)."""
-    vals = nonpositive_values_tw(g.negated(), t, stats)
+    if t is None:
+        t = build_decomposition(g)
+    vals = nonpositive_values_tw(AugmentedGraph(g, negate=True), t, stats)
     return [INF if v == NEG_INF else -v for v in vals]

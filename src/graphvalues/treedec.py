@@ -8,20 +8,24 @@ of ``u`` is the smallest-level bag containing ``u``; the per-node traversal
 algorithms in this package rely on that.
 
 Construction is greedy elimination (min-degree by default) on the undirected
-skeleton, followed by rebalancing to height O(log n). Balancing works by
-divide and conquer over heavy paths: each produced bag is the union of at
-most three original bags, so the width grows by at most a factor of three.
+skeleton, followed by bringing the tree to height O(log n). When the raw
+elimination tree is already within the height bound it is only binarized,
+by combs of bag copies, and the width is unchanged. Otherwise it is rebuilt
+by divide and conquer over heavy paths: each produced bag is the union of at
+most three original bags, so the width grows to at most 3(w+1) - 1.
 """
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 from .graph import InvariantError, WeightedDigraph
 
 # Recorded height constant: after balancing (including the one-root-per-bag
 # chains) the tree height is asserted to be <= HEIGHT_FACTOR * ceil(log2 B) +
-# HEIGHT_FACTOR where B is the number of bags. Checked by the test suite.
+# HEIGHT_FACTOR where B is the number of bags. Checked by the test suite. A
+# raw tree within HEIGHT_FACTOR * log2 n of height is kept, only binarized.
 HEIGHT_FACTOR = 6
 
 
@@ -251,6 +255,50 @@ def build_decomposition(
 
 
 def balance_and_binarize(t: TreeDecomposition) -> TreeDecomposition:
+    """A normalized binary tree of height <= HEIGHT_FACTOR * log2 n for ``t``.
+
+    When ``t`` already fits that bound and still does once binarized, the
+    binarized tree is returned and the width is unchanged. Otherwise ``t`` is
+    rebuilt by :func:`_heavy_path_balance`, with width <= 3*(width+1) - 1.
+    """
+    limit = HEIGHT_FACTOR * math.log2(max(t.n_nodes, 1))
+    if t.height <= limit:
+        fit = _split_multi_rooted(_binarize(t))
+        if fit.height <= limit:
+            return fit
+    return _heavy_path_balance(t)
+
+
+def _binarize(t: TreeDecomposition) -> TreeDecomposition:
+    """Give every bag at most two children without changing any bag's content.
+
+    A bag with k > 2 children gets a Huffman comb on subtree height: the two
+    shallowest child subtrees are hung under a fresh copy of the bag until two
+    are left. The copies sit below the bag, so they root no node, and the
+    comb's height is the least any binary comb over those subtrees can have.
+    """
+    if all(len(c) <= 2 for c in t.children):
+        return t
+    bags = list(t.bags)
+    parent = list(t.parent)
+    height = [0] * len(bags)
+    for b in t.postorder():
+        subs = [(height[c], c) for c in t.children[b]]
+        if len(subs) > 2:
+            heapq.heapify(subs)
+            while len(subs) > 2:
+                h1, c1 = heapq.heappop(subs)
+                h2, c2 = heapq.heappop(subs)
+                copy = len(bags)
+                bags.append(bags[b])
+                parent.append(b)
+                parent[c1] = parent[c2] = copy
+                heapq.heappush(subs, (max(h1, h2) + 1, copy))
+        height[b] = 1 + max(h for h, _ in subs) if subs else 0
+    return TreeDecomposition(bags, parent, t.n_nodes)
+
+
+def _heavy_path_balance(t: TreeDecomposition) -> TreeDecomposition:
     """Rebuild ``t`` with height O(log n) and width <= 3*(width+1) - 1.
 
     Divide and conquer on heavy paths. For the subtree hanging below a bag r:

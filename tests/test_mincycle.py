@@ -11,7 +11,7 @@ from graphvalues.graph import INF, WeightedDigraph
 from graphvalues.mincycle import min_cycle
 from graphvalues.oracles import enumerate_cycles, min_cycle_weight_by_enumeration
 from graphvalues.ratio import SearchStats, mean_value, ratio_value
-from graphvalues.treedec import build_decomposition
+from graphvalues.treedec import _heavy_path_balance, build_decomposition
 
 
 def test_triangle_exact(triangle):
@@ -130,18 +130,27 @@ def _check_against_enumeration(g, r, t):
         assert r.exact and r.value == cstar
 
 
-def test_sweep_results_are_pinned():
-    """Every MinCycleResult field, negative undershoots included, is pinned
-    by a digest of the results the uncompiled dict sweep gave."""
+def _pinned_rows(balanced):
     rows = []
     for seed in range(60):
         for g in (sc_ktree(seed, wt=(-10, 10)), small_random(seed, wt=(-9, 9))):
-            for balance in (True, False):
-                r = min_cycle(g, build_decomposition(g, balance=balance))
+            raw = build_decomposition(g, balance=False)
+            for t in (balanced(g, raw), raw):
+                r = min_cycle(g, t)
                 rows.append((r.value, r.height, r.peak_maps, r.exact))
     assert sum(r[0] < 0 for r in rows) == 182
-    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-    assert digest == "16e0b65a15425ba5142752ea017617c1ac023733bcc1713a8c946c694591506d"
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def test_sweep_results_are_pinned():
+    """Every MinCycleResult field, negative undershoots included, is pinned
+    by a digest of the results the uncompiled dict sweep gave on heavy-path
+    balanced and raw trees, and by a second digest on the default trees,
+    which keep a raw tree that fits the height bound."""
+    heavy = _pinned_rows(lambda g, raw: _heavy_path_balance(raw))
+    assert heavy == "16e0b65a15425ba5142752ea017617c1ac023733bcc1713a8c946c694591506d"
+    default = _pinned_rows(lambda g, raw: build_decomposition(g))
+    assert default == "1b3d0081b1a1d0a675448417ee134ec92aef4e1b54f551b79fce78281a17b186"
 
 
 def _trees(g):

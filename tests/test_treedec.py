@@ -6,11 +6,18 @@ from collections import deque
 import pytest
 from conftest import sc_ktree, small_random
 
-from graphvalues.generate import gen_cfg_like, gen_ktree
-from graphvalues.graph import InvariantError, WeightedDigraph
+from graphvalues.energy import energy_values
+from graphvalues.energy_tw import energy_values_tw
+from graphvalues.generate import gen_cfg_like, gen_ktree, gen_sparse_random
+from graphvalues.graph import InvariantError, WeightedDigraph, tarjan_scc
+from graphvalues.oracles import karp_mean
+from graphvalues.ratio import mean_values_all_nodes, ratio_values_all_nodes, values_all_nodes
 from graphvalues.treedec import (
     HEIGHT_FACTOR,
     TreeDecomposition,
+    _binarize,
+    _heavy_path_balance,
+    balance_and_binarize,
     build_decomposition,
     decomposition_to_text,
     edge_fold_table,
@@ -74,11 +81,17 @@ def test_unbalanced_build_is_valid_unnormalized():
 
 
 def test_width_bound_on_2_trees():
-    # Balancing may triple bag sizes: width <= 3*(w+1) - 1 = 8 for w = 2.
+    # Balancing may triple bag sizes: width <= 3*(w+1) - 1 = 8 for w = 2;
+    # a raw tree that fits the height bound is only binarized and keeps 2.
+    fit = 0
     for seed in range(8):
         g = gen_ktree(50, 2, seed=seed)
         t = build_decomposition(g)
         assert t.width <= 8, (seed, t.width)
+        if build_decomposition(g, balance=False).height <= HEIGHT_FACTOR * math.log2(g.n):
+            assert t.width == 2, seed
+            fit += 1
+    assert fit == 8
 
 
 def test_height_bound_logarithmic():
@@ -91,6 +104,94 @@ def test_height_bound_logarithmic():
     g = gen_ktree(500, 2, seed=1)
     t = build_decomposition(g)
     assert t.height <= HEIGHT_FACTOR * math.log2(500), t.height
+
+
+# -- the fit path: a raw tree within the height bound is only binarized --------
+
+
+@pytest.mark.parametrize("n", [500, 10_000])
+def test_raw_2_tree_that_fits_keeps_width_2(n):
+    g = gen_ktree(n, 2, seed=1)
+    t = build_decomposition(g)
+    assert t.width == 2
+    assert t.height <= HEIGHT_FACTOR * math.log2(n), t.height
+    assert validate(t, g, normalized=True) is None
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 17, 100])
+def test_star_bag_gets_a_logarithmic_comb(d):
+    # hub d is eliminated last, so its bag is the root with one child per leaf
+    g = WeightedDigraph.from_edges(d + 1, [(d, v, 1) for v in range(d)])
+    raw = build_decomposition(g, balance=False)
+    assert len(raw.children[raw.root]) == d
+    t = build_decomposition(g)
+    assert validate(t, g) is None
+    assert t.width == 1
+    assert t.height <= math.ceil(math.log2(d)) + 1, t.height
+
+
+def test_tall_raw_tree_falls_back_to_heavy_paths():
+    for n in (64, 256):
+        g = WeightedDigraph.from_edges(n, [(i, i + 1, 1) for i in range(n - 1)])
+        raw = build_decomposition(g, balance=False)
+        assert raw.height > HEIGHT_FACTOR * math.log2(n)
+        t = build_decomposition(g)
+        heavy = _heavy_path_balance(raw)
+        assert (t.bags, t.parent) == (heavy.bags, heavy.parent)
+
+
+def test_raw_tree_that_outgrows_the_bound_when_binarized_falls_back():
+    # A spider: centre 0 and three legs of `leg` nodes. Its chain tree has
+    # height `leg`, just within the bound; the root's three equally deep
+    # branches make the binarized tree one level taller, just over it.
+    leg = 41
+    n = 3 * leg + 1
+    edges, bags, parent = [], [{0}], [None]
+    for i in range(3):
+        prev, prev_bag = 0, 0
+        for j in range(leg):
+            u = 1 + i * leg + j
+            edges.append((prev, u, 1))
+            bags.append({prev, u})
+            parent.append(prev_bag)
+            prev, prev_bag = u, len(bags) - 1
+    g = WeightedDigraph.from_edges(n, edges)
+    raw = TreeDecomposition(bags, parent, n)
+    limit = HEIGHT_FACTOR * math.log2(n)
+    assert raw.height <= limit < _binarize(raw).height
+    t = balance_and_binarize(raw)
+    heavy = _heavy_path_balance(raw)
+    assert (t.bags, t.parent) == (heavy.bags, heavy.parent)
+    assert validate(t, g) is None and t.height <= limit
+
+
+def _heavy(g):
+    return _heavy_path_balance(build_decomposition(g, balance=False))
+
+
+def _differential_graphs():
+    for seed in range(6):
+        yield gen_ktree(40 + 20 * seed, 2, seed=seed, wt=(-10, 10), wtp=(1, 5), ensure_sc=False)
+        yield gen_cfg_like(40 + 10 * seed, seed=seed)
+        yield gen_sparse_random(60, 1, seed=seed, wt=(-5, 10), wtp=(1, 4))
+
+
+def test_values_on_fit_trees_match_heavy_path_trees():
+    kept = several = 0
+    for g in _differential_graphs():
+        kept += build_decomposition(g).width < _heavy(g).width
+        several += sum(len(c) > 1 for c in tarjan_scc(g).components) > 1
+        means = mean_values_all_nodes(g)
+        assert means == mean_values_all_nodes(g, _heavy)
+        assert means == values_all_nodes(g, karp_mean)
+        ratios = ratio_values_all_nodes(g)
+        assert ratios == ratio_values_all_nodes(g, _heavy)
+        if all(e.wtp == 1 for e in g.edges):
+            assert ratios == means
+        credits = energy_values_tw(g, build_decomposition(g))
+        assert credits == energy_values_tw(g, _heavy(g))
+        assert credits == energy_values(g)
+    assert (kept, several) == (18, 6)
 
 
 def test_every_bag_roots_at_most_one_node():
