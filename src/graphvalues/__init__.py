@@ -19,7 +19,6 @@ from .energy import (
 from .energy_tw import (
     TwStats,
     energy_values_tw,
-    extend_decomposition_with_z,
     lift,
     nonpositive_values_tw,
     sssp_to_z_treedec,
@@ -84,7 +83,6 @@ __all__ = [
     "detect_nonpositive_cycle",
     "energy_values",
     "energy_values_tw",
-    "extend_decomposition_with_z",
     "highest_energy_node",
     "induced_subgraph",
     "lift",

@@ -9,12 +9,20 @@ anchor — a node attaining that maximum. A closed walk with a <= 0 certifies
 a non-positive cycle, and its anchor is a highest-energy node of that cycle,
 so it can be killed directly without re-running any global detection.
 
+The bags are those of the caller's decomposition t of the original nodes.
+The sink z is an implicit member of every bag, rooted above t's root, so no
+second tree is built. Each edge weight enters at one fold bag: a real edge
+(u, v) at the root bag of its deeper-rooted endpoint, a sink edge (u, z) or
+(z, u) at the root bag of u.
+
 A bag b rooting node x summarizes the best known walks between its nodes
-whose intermediates are rooted in b's subtree, in two parts:
+(z included) whose intermediates are rooted in b's subtree, in two parts:
 
 - the *exported map*, keyed by u * (z + 1) + v, holds the pairs (u, v)
   with u, v != x. In a normalized tree the bag minus x is a subset of the
-  parent bag, so the parent takes this map as it is;
+  parent bag, so the parent takes this map as it is. The root's map holds
+  at most the pair (z, z) and is dropped: a non-positive closed walk
+  through z was reported where it was closed;
 - the *row* ``(diag, outs)`` holds the (x, x) diagonal and the (x, v)
   entries as ``(v, triple)`` pairs, which the distance pass reads.
 
@@ -37,7 +45,7 @@ non-positive cycle that survives the round reports itself again.
 
 When no anchor is left, the weight parts of the rows are the min-plus
 closure of the final graph, so the distances to the sink are read off them
-in one top-down pass.
+in one top-down pass that starts from d(z) = 0.
 """
 from __future__ import annotations
 
@@ -85,16 +93,20 @@ def lift(weight_of, u, v, z):
 # -- decomposition plumbing ---------------------------------------------------------
 
 
-def extend_decomposition_with_z(t: TreeDecomposition) -> TreeDecomposition:
-    """Adjoin the sink z = n to every bag and hang a new root bag {z} on top,
-    so z is rooted at the root and every augmented edge stays covered."""
-    z = t.n_nodes
-    bags = [b | {z} for b in t.bags]
-    parent = list(t.parent)
-    bags.append(frozenset({z}))
-    parent.append(None)
-    parent[t.root] = len(bags) - 1
-    return TreeDecomposition(bags, parent, z + 1)
+def _fold_bag(t: TreeDecomposition, u: int, v: int, z: int) -> int:
+    """The bag of ``t`` where the augmented edge (u, v) folds.
+
+    A real edge folds where :func:`fold_bag_of_edge` puts it. The sink z is
+    an implicit member of every bag, rooted above the root, so an edge
+    (u, z) or (z, u) folds at the root bag of u.
+    """
+    if u == z or v == z:
+        w = v if u == z else u
+        b = t.root_bag_of[w]
+        if b < 0:
+            raise InvariantError(f"node {w} is in no bag")
+        return b
+    return fold_bag_of_edge(t, u, v)
 
 
 @dataclass
@@ -109,31 +121,25 @@ class TwStats:
 class _TwState:
     """Exported maps, rows, fold sets and reported anchors for one augmented graph."""
 
-    __slots__ = (
-        "ag", "t2", "stats", "stride", "rooted", "exported", "rows", "fold", "edge_bag", "hot"
-    )
+    __slots__ = ("ag", "t", "stats", "stride", "rooted", "exported", "rows", "fold", "hot")
 
-    def __init__(self, ag: AugmentedGraph, t2: TreeDecomposition, stats: TwStats):
+    def __init__(self, ag: AugmentedGraph, t: TreeDecomposition, stats: TwStats):
         self.ag = ag
-        self.t2 = t2
+        self.t = t
         self.stats = stats
         self.stride = stride = ag.z + 1
-        nb = len(t2.bags)
-        self.rooted = [t2.single_rooted(b) for b in range(nb)]
+        nb = len(t.bags)
+        self.rooted = [t.single_rooted(b) for b in range(nb)]
         self.exported: list = [None] * nb
         self.rows: list = [None] * nb
         self.fold: list[dict] = [{} for _ in range(nb)]
-        self.edge_bag: dict[int, int] = {}
         for (u, v) in ag.weights:
-            b = fold_bag_of_edge(t2, u, v)
-            k = u * stride + v
-            self.edge_bag[k] = b
-            self.fold[b][k] = lift(ag.weight_of, u, v, ag.z)
+            self.fold[_fold_bag(t, u, v, ag.z)][u * stride + v] = lift(ag.weight_of, u, v, ag.z)
         self.hot: list[int] = []  # anchors of newly seen non-positive closed walks
 
     def recompute_bag(self, b: int) -> None:
         exported = self.exported
-        ch = self.t2.children[b]
+        ch = self.t.children[b]
         cur = dict(exported[ch[0]]) if ch else {}
         get = cur.get
         for c in ch[1:]:
@@ -160,7 +166,7 @@ class _TwState:
             self.hot.append(diag[1])
         ins = []
         outs = []
-        for v in self.t2.bags[b]:
+        for v in (*self.t.bags[b], self.ag.z):  # the sink is in every bag
             if v != x:
                 tri = pop(base + v, None)
                 if tri is not None:
@@ -186,39 +192,35 @@ class _TwState:
         self.rows[b] = (diag, outs)
 
     def initial_pass(self) -> None:
-        for b in self.t2.postorder():
+        for b in self.t.postorder():
             self.recompute_bag(b)
-        self.stats.initial_bags += len(self.t2.bags)
+        self.stats.initial_bags += len(self.t.bags)
 
     def kill(self, w: int, touched: set) -> None:
         """Kill w and keep the fold sets in step, adding the bags it touched."""
-        ag, stride, z = self.ag, self.stride, self.ag.z
-        keys = {x * stride + w for x in ag.inc[w]} | {w * stride + y for y in ag.out[w]}
+        ag, t, stride, z = self.ag, self.t, self.stride, self.ag.z
+        edges = {(x, w) for x in ag.inc[w]} | {(w, y) for y in ag.out[w]}
         removed_in, _ = ag.kill(w)
-        for k in keys:
-            b = self.edge_bag.pop(k)
-            del self.fold[b][k]
+        for u, v in edges:
+            b = _fold_bag(t, u, v, z)
+            del self.fold[b][u * stride + v]
             touched.add(b)
         for x, _, lowered in removed_in:
-            if not lowered:
-                continue
-            k = x * stride + z
-            b = self.edge_bag.get(k)
-            if b is None:
-                b = self.edge_bag[k] = fold_bag_of_edge(self.t2, x, z)
-            self.fold[b][k] = lift(ag.weight_of, x, z, z)
-            touched.add(b)
+            if lowered:
+                b = _fold_bag(t, x, z, z)
+                self.fold[b][x * stride + z] = lift(ag.weight_of, x, z, z)
+                touched.add(b)
         self.stats.kills += 1
 
     def repair(self, touched: set) -> None:
         """Recompute the union of the touched bags' ancestor chains, deepest first."""
-        parent = self.t2.parent
+        parent = self.t.parent
         dirty = set()
         for b in touched:
             while b is not None and b not in dirty:
                 dirty.add(b)
                 b = parent[b]
-        for b in sorted(dirty, key=self.t2.level.__getitem__, reverse=True):
+        for b in sorted(dirty, key=self.t.level.__getitem__, reverse=True):
             self.recompute_bag(b)
         self.stats.update_bags += len(dirty)
         self.stats.rounds += 1
@@ -226,16 +228,19 @@ class _TwState:
 
 def zero_energy_nodes_tw(
     ag: AugmentedGraph,
-    t2: TreeDecomposition,
+    t: TreeDecomposition,
     stats: TwStats | None = None,
 ) -> tuple[list[int], list]:
     """Kill every zero-energy node of the augmented graph, bag-locally.
 
     Returns the killed nodes in kill order and the final rows, which
-    :func:`sssp_to_z_treedec` reads. ``ag`` is mutated in place; ``t2``
-    must be the extended decomposition, normalized (InvariantError if not).
+    :func:`sssp_to_z_treedec` reads. ``ag`` is mutated in place. ``t``
+    decomposes the original nodes 0..z-1 and must be normalized
+    (InvariantError if not); the sink z is taken as a member of every bag.
+    Run on an augmented graph that has no zero-energy node left, it kills
+    nothing.
     """
-    st = _TwState(ag, t2, stats if stats is not None else TwStats())
+    st = _TwState(ag, t, stats if stats is not None else TwStats())
     st.initial_pass()
     alive = ag.alive
     xs: list[int] = []
@@ -252,39 +257,26 @@ def zero_energy_nodes_tw(
     return xs, st.rows
 
 
-def recompute_all_maps(ag: AugmentedGraph, t2: TreeDecomposition) -> tuple[list, list[int]]:
-    """Fresh bottom-up pass over the current graph: (rows, hot anchors).
-
-    After the kill loop finished, the hot list of a fresh pass must be empty
-    — no non-positive cycle survives. Exposed for exactly that check.
-    """
-    st = _TwState(ag, t2, TwStats())
-    st.initial_pass()
-    return st.rows, st.hot
-
-
-def sssp_to_z_treedec(ag: AugmentedGraph, t2: TreeDecomposition, rows: list) -> list:
+def sssp_to_z_treedec(ag: AugmentedGraph, t: TreeDecomposition, rows: list) -> list:
     """Exact distance from every node to the sink in the final graph.
 
-    ``rows`` are the rows left by :func:`zero_energy_nodes_tw`; the weight
-    part of each triple is the min-plus closure of the final graph over the
-    bag's subtree. One top-down sweep reads the distances: the node x rooted
-    at a bag closes over the bag's other members, which are all rooted at
-    strict ancestors and therefore already final. A non-positive (x, x)
-    diagonal means a surviving non-positive cycle and raises.
+    ``rows`` are the rows left by :func:`zero_energy_nodes_tw` on ``t``; the
+    weight part of each triple is the min-plus closure of the final graph
+    over the bag's subtree. One top-down sweep from d(z) = 0 reads the
+    distances: the node x rooted at a bag closes over the bag's other
+    members, the sink included, which are all rooted at strict ancestors
+    (the sink above the root) and therefore already final. A non-positive
+    (x, x) diagonal means a surviving non-positive cycle and raises.
     """
     dist: list = [INF] * (ag.z + 1)
-    for b in t2.bfs_order:
+    dist[ag.z] = 0
+    for b in t.bfs_order:
         row = rows[b]
         if row is None:
             continue
         diag, outs = row
         if diag is not None and diag[0] <= 0:
             raise InvariantError("non-positive cycle in shortest-path pass")
-        x = t2.single_rooted(b)
-        if x == ag.z:
-            dist[x] = 0
-            continue
         best = INF
         for v, e in outs:
             d = dist[v]
@@ -292,7 +284,7 @@ def sssp_to_z_treedec(ag: AugmentedGraph, t2: TreeDecomposition, rows: list) -> 
                 cand = e[0] + d
                 if cand < best:
                     best = cand
-        dist[x] = best
+        dist[t.single_rooted(b)] = best
     return dist
 
 
@@ -307,16 +299,18 @@ def nonpositive_values_tw(
     """Energy per node, non-positive convention; decomposition-based.
 
     ``g`` may also be a fresh AugmentedGraph, which the kills use up; ``t``
-    must then be given, decomposing its original nodes.
+    must then be given, decomposing its original nodes. A ``t`` of another
+    node count raises ValueError.
     """
     ag = g if isinstance(g, AugmentedGraph) else AugmentedGraph(g)
+    if t is not None and t.n_nodes != ag.z:
+        raise ValueError(f"decomposition has {t.n_nodes} nodes, graph has {ag.z}")
     if ag.z == 0:
         return []
     if t is None:
         t = build_decomposition(g)
-    t2 = extend_decomposition_with_z(t)
-    _, rows = zero_energy_nodes_tw(ag, t2, stats)
-    return sink_distance_values(ag, sssp_to_z_treedec(ag, t2, rows))
+    _, rows = zero_energy_nodes_tw(ag, t, stats)
+    return sink_distance_values(ag, sssp_to_z_treedec(ag, t, rows))
 
 
 def energy_values_tw(

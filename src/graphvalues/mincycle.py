@@ -240,10 +240,13 @@ def min_cycle(
     ``weights`` optionally replaces edge weights by index, so one
     decomposition can be reused across many reweighted sweeps. The plan is
     compiled on the first sweep of (g, t) and cached on ``t``; another graph
-    object on the same tree compiles its own.
+    object on the same tree compiles its own. A ``t`` of another node count
+    raises ValueError.
     """
     if t is None:
         t = build_decomposition(g)
+    elif t.n_nodes != g.n:
+        raise ValueError(f"decomposition has {t.n_nodes} nodes, graph has {g.n}")
     plan = t.sweep_plan
     if plan is None or plan.graph is not g:
         plan = t.sweep_plan = SweepPlan(g, t)

@@ -14,10 +14,8 @@ from graphvalues.energy import (
 from graphvalues.energy_tw import (
     TwStats,
     energy_values_tw,
-    extend_decomposition_with_z,
     lift,
     nonpositive_values_tw,
-    recompute_all_maps,
     sssp_to_z_treedec,
     triple_plus,
     zero_energy_nodes_tw,
@@ -98,27 +96,40 @@ def test_lift_rules():
     assert lift(wf, 0, 1, z) is None
 
 
-# -- decomposition extension ---------------------------------------------------------------
+# -- the implicit sink ---------------------------------------------------------------
 
 
-def test_extend_decomposition_with_z(two_gadget):
+def test_energy_solve_builds_no_tree(two_gadget, monkeypatch):
+    t = build_decomposition(two_gadget)
+    built = []
+    init = TreeDecomposition.__init__
+
+    def counting_init(self, *args, **kw):
+        built.append(args)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(TreeDecomposition, "__init__", counting_init)
+    assert energy_values_tw(two_gadget, t) == energy_fixpoint(two_gadget)
+    assert built == []
+
+
+def test_node_in_no_bag_raises():
+    # node 2 has no edges, but its sink edge (z, 2) still needs a fold bag
+    g = WeightedDigraph.from_edges(3, [(0, 1, 1), (1, 0, -2)])
+    t = TreeDecomposition([{0}, {0, 1}], [None, 0], 3)
+    with pytest.raises(InvariantError):
+        energy_values_tw(g, t)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_decomposition_of_another_node_count_is_refused(two_gadget, extra):
     g = two_gadget
-    t = build_decomposition(g)
-    t2 = extend_decomposition_with_z(t)
-    z = g.n
-    assert t2.n_nodes == g.n + 1
-    assert len(t2.bags) == len(t.bags) + 1
-    assert all(z in bag for bag in t2.bags)
-    assert t2.bags[t2.root] == frozenset({z})
-    assert t2.root_bag_of[z] == t2.root
-    for b in range(len(t2.bags)):
-        t2.single_rooted(b)
-    # valid decomposition of the augmented edge set
-    aug = WeightedDigraph.from_edges(
-        g.n + 1,
-        [(e.src, e.dst, e.wt) for e in g.edges] + [(z, u, 0) for u in range(g.n)],
-    )
-    assert validate(t2, aug) is None
+    other = WeightedDigraph.from_edges(g.n + extra, [(0, 1, 1), (1, 0, 1)])
+    t = build_decomposition(other)
+    with pytest.raises(ValueError):
+        nonpositive_values_tw(g, t)
+    with pytest.raises(ValueError):
+        energy_values_tw(g, t)
 
 
 # -- zero-energy discovery ---------------------------------------------------------------
@@ -129,8 +140,7 @@ def test_zero_set_matches_general_algorithm():
         g = small_random(seed, wt=(-6, 6))
         xs_general, _ = zero_energy_nodes(g)
         ag = AugmentedGraph(g)
-        t2 = extend_decomposition_with_z(build_decomposition(g))
-        xs_tw, _ = zero_energy_nodes_tw(ag, t2)
+        xs_tw, _ = zero_energy_nodes_tw(ag, build_decomposition(g))
         assert set(xs_tw) == set(xs_general), seed
 
 
@@ -138,10 +148,10 @@ def test_quiescence_means_no_nonpositive_cycle():
     for seed in range(40):
         g = small_random(seed, wt=(-5, 7))
         ag = AugmentedGraph(g)
-        t2 = extend_decomposition_with_z(build_decomposition(g))
-        zero_energy_nodes_tw(ag, t2)
-        _, hot = recompute_all_maps(ag, t2)
-        assert hot == [], seed
+        t = build_decomposition(g)
+        zero_energy_nodes_tw(ag, t)
+        xs, _ = zero_energy_nodes_tw(ag, t)  # a fresh pass over the final graph
+        assert xs == [], seed
 
 
 def test_five_chain_values_tw(five_chain):
@@ -162,18 +172,19 @@ def test_sssp_matches_bellman_ford_without_kills():
     for seed in range(40):
         g = small_random(seed, wt=(1, 9))  # positive weights: nothing to kill
         ag = AugmentedGraph(g)
-        t2 = extend_decomposition_with_z(build_decomposition(g))
-        maps, _ = recompute_all_maps(ag, t2)
-        assert sssp_to_z_treedec(ag, t2, maps) == _bf_dist_to_z(ag), seed
+        t = build_decomposition(g)
+        xs, rows = zero_energy_nodes_tw(ag, t)
+        assert xs == [], seed
+        assert sssp_to_z_treedec(ag, t, rows) == _bf_dist_to_z(ag), seed
 
 
 def test_sssp_matches_bellman_ford_after_kills():
     for seed in range(60):
         g = small_random(seed, wt=(-6, 8))
         ag = AugmentedGraph(g)
-        t2 = extend_decomposition_with_z(build_decomposition(g))
-        _, maps = zero_energy_nodes_tw(ag, t2)
-        got = sssp_to_z_treedec(ag, t2, maps)
+        t = build_decomposition(g)
+        _, rows = zero_energy_nodes_tw(ag, t)
+        got = sssp_to_z_treedec(ag, t, rows)
         want = _bf_dist_to_z(ag)
         for u in range(ag.z + 1):
             if ag.alive[u]:
@@ -210,7 +221,7 @@ def test_stats_are_filled_and_bounded():
         nonpositive_values_tw(g, t, stats)
         xs, _ = zero_energy_nodes(g)
         assert stats.kills == len(xs)
-        assert stats.initial_bags == len(t.bags) + 1
+        assert stats.initial_bags == len(t.bags)
         assert stats.update_bags >= 0 and stats.hot_discarded >= 0
         # each kill dirties at most its fold bags plus their ancestor chains
         ceiling = (g.m + g.n + 1) * (t.height + 3)
@@ -280,14 +291,13 @@ def test_kill_rounds_on_cascades_match_the_references():
             build_decomposition(g, "min-fill"),
         ):
             ag = AugmentedGraph(g)
-            t2 = extend_decomposition_with_z(t)
             stats = TwStats()
-            xs, rows = zero_energy_nodes_tw(ag, t2, stats)
+            xs, rows = zero_energy_nodes_tw(ag, t, stats)
             assert len(xs) == len(set(xs)) == stats.kills, seed
             assert set(xs) == set(want_xs), seed
-            assert sink_distance_values(ag, sssp_to_z_treedec(ag, t2, rows)) == want, seed
-            fresh_rows, hot = recompute_all_maps(ag, t2)
-            assert hot == [], seed
+            assert sink_distance_values(ag, sssp_to_z_treedec(ag, t, rows)) == want, seed
+            fresh_xs, fresh_rows = zero_energy_nodes_tw(ag, t)
+            assert fresh_xs == [], seed
             # the repaired rows are the rows of a fresh pass over the final graph
             assert _weights(rows) == _weights(fresh_rows), seed
             assert energy_values_tw(g.negated(), t) == want_std, seed
@@ -301,6 +311,6 @@ def test_unnormalized_decomposition_raises():
     g = WeightedDigraph.from_edges(2, [(0, 1, -1), (1, 0, 0)])
     t = TreeDecomposition([{0, 1}], [None], 2)  # one bag rooting both nodes
     with pytest.raises(InvariantError):
-        zero_energy_nodes_tw(AugmentedGraph(g), extend_decomposition_with_z(t))
+        zero_energy_nodes_tw(AugmentedGraph(g), t)
     with pytest.raises(InvariantError):
         nonpositive_values_tw(g, t)

@@ -220,6 +220,13 @@ def test_same_tree_with_another_graph_recompiles():
         assert t.sweep_plan.graph is g
 
 
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_decomposition_of_another_node_count_is_refused(triangle, extra):
+    other = WeightedDigraph.from_edges(triangle.n + extra, [(0, 1, 1), (1, 0, 1)])
+    with pytest.raises(ValueError):
+        min_cycle(triangle, build_decomposition(other))
+
+
 @pytest.mark.parametrize("solve", [mean_value, ratio_value])
 def test_searches_compile_one_plan_per_decomposition(monkeypatch, solve):
     calls = []
