@@ -299,9 +299,11 @@ def nonpositive_values_tw(
     """Energy per node, non-positive convention; decomposition-based.
 
     ``g`` may also be a fresh AugmentedGraph, which the kills use up; ``t``
-    must then be given, decomposing its original nodes. A ``t`` of another
-    node count raises ValueError.
+    must then be given, decomposing its original nodes (ValueError if it is
+    not). A ``t`` of another node count raises ValueError.
     """
+    if t is None and isinstance(g, AugmentedGraph):
+        raise ValueError("an AugmentedGraph needs the decomposition t of its original nodes")
     ag = g if isinstance(g, AugmentedGraph) else AugmentedGraph(g)
     if t is not None and t.n_nodes != ag.z:
         raise ValueError(f"decomposition has {t.n_nodes} nodes, graph has {ag.z}")

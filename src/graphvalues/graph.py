@@ -145,11 +145,9 @@ def induced_subgraph(g: WeightedDigraph, nodes: Sequence[int]) -> tuple[Weighted
     """
     old_ids = list(nodes)
     new_id = {u: i for i, u in enumerate(old_ids)}
-    edges = [
-        Edge(new_id[e.src], new_id[e.dst], e.wt, e.wtp)
-        for e in g.edges
-        if e.src in new_id and e.dst in new_id
-    ]
+    # Only the nodes' own out-edges, put back in g's edge order.
+    kept = sorted(i for u in new_id for i in g.out[u] if g.edges[i].dst in new_id)
+    edges = [Edge(new_id[e.src], new_id[e.dst], e.wt, e.wtp) for e in (g.edges[i] for i in kept)]
     labels = [g.labels[u] for u in old_ids]
     return WeightedDigraph(len(old_ids), edges, labels), old_ids
 

@@ -8,11 +8,13 @@ of ``u`` is the smallest-level bag containing ``u``; the per-node traversal
 algorithms in this package rely on that.
 
 Construction is greedy elimination (min-degree by default) on the undirected
-skeleton, followed by bringing the tree to height O(log n). When the raw
-elimination tree is already within the height bound it is only binarized,
-by combs of bag copies, and the width is unchanged. Otherwise it is rebuilt
-by divide and conquer over heavy paths: each produced bag is the union of at
-most three original bags, so the width grows to at most 3(w+1) - 1.
+skeleton, followed by bringing the tree to height O(log n). One comb makes
+every tree binary: :func:`_binarize` hangs the children of a bag with more
+than two under copies of it, lowest subtrees first, and the width is
+unchanged. A raw elimination tree already within the height bound only gets
+that comb. A taller one is first rebuilt by divide and conquer over heavy
+paths: each produced bag is the union of at most three original bags, so
+the width grows to at most 3(w+1) - 1, and the same comb finishes it.
 """
 from __future__ import annotations
 
@@ -100,9 +102,17 @@ class TreeDecomposition:
         return max(self.level)
 
     def postorder(self) -> list[int]:
-        """Children before parents; computed once and cached."""
+        """Children before parents, each subtree in one stretch: the reversed
+        depth-first preorder, so a sweep holds at most height + 1 finished
+        maps on a binary tree. Computed once and cached."""
         if self._postorder is None:
-            self._postorder = list(reversed(self.bfs_order))
+            order, stack = [], [self.root]
+            while stack:
+                b = stack.pop()
+                order.append(b)
+                stack.extend(self.children[b])
+            order.reverse()
+            self._postorder = order
         return self._postorder
 
     def single_rooted(self, b: int):
@@ -260,6 +270,8 @@ def balance_and_binarize(t: TreeDecomposition) -> TreeDecomposition:
     When ``t`` already fits that bound and still does once binarized, the
     binarized tree is returned and the width is unchanged. Otherwise ``t`` is
     rebuilt by :func:`_heavy_path_balance`, with width <= 3*(width+1) - 1.
+    Both trees get the same finish: :func:`_binarize`, then
+    :func:`_split_multi_rooted`.
     """
     limit = HEIGHT_FACTOR * math.log2(max(t.n_nodes, 1))
     if t.height <= limit:
@@ -305,95 +317,42 @@ def _heavy_path_balance(t: TreeDecomposition) -> TreeDecomposition:
     walk the heavy path r = b_0 .. b_t (always descending into the largest
     child), then split the path segment [i..j] at a weighted median m into a
     new bag B(b_i) | B(b_m) | B(b_j) whose two children handle [i..m-1] and
-    [m..j]. A one-bag segment keeps its original content and gathers the
-    subtrees hanging off it through a binary comb of copies of itself; each
-    hanging subtree restarts the recursion at its attachment bag and holds at
-    most half of the current subtree's bags, which bounds the height.
-
-    Afterwards every bag that is the root bag of k > 1 nodes is expanded into
-    a chain of k nested bags so each bag roots at most one node.
+    [m..j]. A one-bag segment keeps its original content and its side
+    subtrees (those off the heavy path) as direct children; each restarts the
+    recursion at its attachment bag and holds at most half of the current
+    subtree's bags, which bounds the height. The result gets the finish of a tree that fits:
+    :func:`_binarize`, whose combs are as low as any, then
+    :func:`_split_multi_rooted`.
     """
-    old_bags = t.bags
-    size = [1] * len(old_bags)
+    size = [1] * len(t.bags)
     for b in t.postorder():
         p = t.parent[b]
         if p is not None:
             size[p] += size[b]
-
-    new_bags: list[frozenset[int]] = []
-    new_parent: list[int | None] = []
-
-    def emit(content: frozenset, parent: int | None) -> int:
-        new_bags.append(content)
-        new_parent.append(parent)
-        return len(new_bags) - 1
-
-    # Work items: ("rec", old_bag, parent_new) starts a heavy-path instance;
-    # ("seg", path, hang, weight_prefix, i, j, parent_new) splits a segment;
-    # ("comb", content, subtrees, parent_new) binarizes a hanging-subtree list.
-    work: list[tuple] = [("rec", t.root, None)]
+    bags: list[frozenset[int]] = []
+    parent: list[int | None] = []
+    work: list[tuple[int, int | None]] = [(t.root, None)]  # (old bag, new parent)
     while work:
-        item = work.pop()
-        kind = item[0]
-        if kind == "rec":
-            _, b, parent_new = item
-            path = [b]
-            while t.children[path[-1]]:
-                path.append(max(t.children[path[-1]], key=lambda c: (size[c], -c)))
-            hang = []
-            for l, pb in enumerate(path):
-                nxt = path[l + 1] if l + 1 < len(path) else None
-                hang.append([c for c in t.children[pb] if c != nxt])
-            pre = [0]
-            for l, pb in enumerate(path):
-                pre.append(pre[-1] + 1 + sum(size[c] for c in hang[l]))
-            work.append(("seg", path, hang, pre, 0, len(path) - 1, parent_new))
-        elif kind == "seg":
-            _, path, hang, pre, i, j, parent_new = item
+        b, top = work.pop()
+        path = [b]
+        while t.children[path[-1]]:
+            path.append(max(t.children[path[-1]], key=lambda c: (size[c], -c)))
+        # pre[l]: the bags on path[:l] and in the subtrees hanging off them
+        pre = [size[b] - size[p] for p in path] + [size[b]]
+        segs = [(0, len(path) - 1, top)]
+        while segs:
+            i, j, top = segs.pop()
+            parent.append(top)
+            nid = len(bags)
             if i == j:
-                nid = emit(old_bags[path[i]], parent_new)
-                subs = hang[i]
-                if len(subs) <= 2:
-                    for s in subs:
-                        work.append(("rec", s, nid))
-                else:
-                    work.append(("comb", old_bags[path[i]], subs, nid))
-            else:
-                # Weighted median split: both halves as close as possible.
-                best_m, best_cost = i + 1, None
-                for m in range(i + 1, j + 1):
-                    left = pre[m] - pre[i]
-                    right = pre[j + 1] - pre[m]
-                    cost = left if left > right else right
-                    if best_cost is None or cost < best_cost:
-                        best_m, best_cost = m, cost
-                m = best_m
-                content = old_bags[path[i]] | old_bags[path[m]] | old_bags[path[j]]
-                nid = emit(content, parent_new)
-                work.append(("seg", path, hang, pre, i, m - 1, nid))
-                work.append(("seg", path, hang, pre, m, j, nid))
-        else:  # comb
-            _, content, subs, parent_new = item
-            if len(subs) <= 2:
-                for s in subs:
-                    work.append(("rec", s, parent_new))
+                bags.append(t.bags[path[i]])
+                work.extend((c, nid) for c in t.children[path[i]] if c not in path[i + 1 : i + 2])
                 continue
-            total = sum(size[s] for s in subs)
-            acc, cut = 0, 1
-            for idx, s in enumerate(subs):
-                acc += size[s]
-                if acc * 2 >= total:
-                    cut = min(max(idx + 1, 1), len(subs) - 1)
-                    break
-            for half in (subs[:cut], subs[cut:]):
-                if len(half) == 1:
-                    work.append(("rec", half[0], parent_new))
-                else:
-                    hid = emit(content, parent_new)
-                    work.append(("comb", content, half, hid))
-
-    balanced = TreeDecomposition(new_bags, new_parent, t.n_nodes)
-    return _split_multi_rooted(balanced)
+            # Weighted median split: both halves as close as possible.
+            m = min(range(i + 1, j + 1), key=lambda k: max(pre[k] - pre[i], pre[j + 1] - pre[k]))
+            bags.append(t.bags[path[i]] | t.bags[path[m]] | t.bags[path[j]])
+            segs += [(i, m - 1, nid), (m, j, nid)]
+    return _split_multi_rooted(_binarize(TreeDecomposition(bags, parent, t.n_nodes)))
 
 
 def _split_multi_rooted(t: TreeDecomposition) -> TreeDecomposition:

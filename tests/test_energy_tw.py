@@ -5,6 +5,7 @@ import random
 import pytest
 from conftest import small_random
 
+from graphvalues import energy_tw
 from graphvalues.energy import (
     AugmentedGraph,
     nonpositive_values,
@@ -130,6 +131,14 @@ def test_decomposition_of_another_node_count_is_refused(two_gadget, extra):
         nonpositive_values_tw(g, t)
     with pytest.raises(ValueError):
         energy_values_tw(g, t)
+
+
+def test_augmented_graph_without_a_decomposition_is_refused(two_gadget, monkeypatch):
+    built = []
+    monkeypatch.setattr(energy_tw, "build_decomposition", lambda g: built.append(g))
+    with pytest.raises(ValueError, match="decomposition"):
+        nonpositive_values_tw(AugmentedGraph(two_gadget))
+    assert built == []
 
 
 # -- zero-energy discovery ---------------------------------------------------------------

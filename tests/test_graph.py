@@ -233,6 +233,23 @@ def test_induced_subgraph_remaps_edges():
     assert sorted(old) == [0, 1, 4]
     back = {(old[e.src], old[e.dst]): e.wt for e in sub.edges}
     assert back == {(0, 1): 1, (1, 4): 2, (4, 0): 3}
+    # several components whose edges are interleaved in g, each node list
+    # in another order than its ids: every subgraph keeps g's edge order
+    rng = random.Random(7)
+    raw = [(u, (u + 4) % 12, rng.randint(-9, 9), rng.randint(1, 3)) for u in range(12)]
+    raw += [(u, u + 1, rng.randint(-9, 9)) for u in range(0, 9, 3)]
+    rng.shuffle(raw)
+    g = WeightedDigraph.from_edges(12, raw)
+    comps = tarjan_scc(g).components
+    assert len(comps) == 4 and all(len(c) > 1 for c in comps)
+    for nodes in comps + [[11, 2, 7, 3]]:
+        sub, old = induced_subgraph(g, nodes)
+        new = {u: i for i, u in enumerate(old)}
+        assert sub.edges == [
+            Edge(new[e.src], new[e.dst], e.wt, e.wtp)
+            for e in g.edges
+            if e.src in new and e.dst in new
+        ]
 
 
 def test_induced_subgraph_keeps_labels(five_chain):

@@ -7,11 +7,12 @@ import pytest
 from conftest import sc_ktree, small_random
 
 from graphvalues import mincycle
+from graphvalues.generate import gen_ktree
 from graphvalues.graph import INF, WeightedDigraph
 from graphvalues.mincycle import min_cycle
 from graphvalues.oracles import enumerate_cycles, min_cycle_weight_by_enumeration
 from graphvalues.ratio import SearchStats, mean_value, ratio_value
-from graphvalues.treedec import _heavy_path_balance, build_decomposition
+from graphvalues.treedec import _binarize, _heavy_path_balance, build_decomposition
 
 
 def test_triangle_exact(triangle):
@@ -71,6 +72,15 @@ def test_peak_maps_within_height_budget():
         assert r.peak_maps <= t.height + 1, (seed, r.peak_maps, t.height)
 
 
+def test_peak_maps_within_height_budget_on_a_large_2_tree():
+    # a depth-first postorder holds at most one finished map per level
+    g = gen_ktree(10_000, 2, seed=1)
+    raw = build_decomposition(g, balance=False)
+    for t in (build_decomposition(g), _binarize(raw), _heavy_path_balance(raw)):
+        r = min_cycle(g, t)
+        assert r.peak_maps <= t.height + 1, (r.peak_maps, t.height)
+
+
 def test_weight_override_matches_rebuilt_graph():
     for seed in range(20):
         g = sc_ktree(seed)
@@ -116,7 +126,7 @@ def _check_against_enumeration(g, r, t):
     assert r.height == t.height
     assert r.peak_maps == _retained_maps(t)
     if all(len(c) <= 2 for c in t.children):
-        assert r.peak_maps <= t.height + 1  # holds on these small binary trees
+        assert r.peak_maps <= t.height + 1  # holds on every binary tree
     # the closed walks are the negative diagonals; the value doubles the least
     assert (2 * min(r.closed_walks) == r.value) if r.negative else not r.closed_walks
     assert all(w < 0 for w in r.closed_walks)
@@ -144,13 +154,14 @@ def _pinned_rows(balanced):
 
 def test_sweep_results_are_pinned():
     """Every MinCycleResult field, negative undershoots included, is pinned
-    by a digest of the results the uncompiled dict sweep gave on heavy-path
-    balanced and raw trees, and by a second digest on the default trees,
-    which keep a raw tree that fits the height bound."""
+    by a digest of the results on heavy-path balanced and raw trees, and by a
+    second digest on the default trees, which keep a raw tree that fits the
+    height bound. The value, height and exact columns are those the
+    uncompiled dict sweep gave; peak_maps follows the depth-first postorder."""
     heavy = _pinned_rows(lambda g, raw: _heavy_path_balance(raw))
-    assert heavy == "16e0b65a15425ba5142752ea017617c1ac023733bcc1713a8c946c694591506d"
+    assert heavy == "79c58843c84606d9cf43b354b5207d33426d42a931e93d9a436e82544b70a18d"
     default = _pinned_rows(lambda g, raw: build_decomposition(g))
-    assert default == "1b3d0081b1a1d0a675448417ee134ec92aef4e1b54f551b79fce78281a17b186"
+    assert default == "b25062e37aa495dde9e0bd721ceee8af0d0ead3e4c7aef89fac4588a24ed0899"
 
 
 def _trees(g):

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import math
+import random
 from collections import deque
 
 import pytest
 from conftest import sc_ktree, small_random
 
+from graphvalues import treedec
 from graphvalues.energy import energy_values
 from graphvalues.energy_tw import energy_values_tw
 from graphvalues.generate import gen_cfg_like, gen_ktree, gen_sparse_random
@@ -163,6 +165,37 @@ def test_raw_tree_that_outgrows_the_bound_when_binarized_falls_back():
     heavy = _heavy_path_balance(raw)
     assert (t.bags, t.parent) == (heavy.bags, heavy.parent)
     assert validate(t, g) is None and t.height <= limit
+
+
+def _broom(path=200, pendants=3, wt=(-12, 1)):
+    """A path of 2-cycles with `pendants` pendant 2-cycles on every fifth
+    node; few of its nodes have energy 0, so the reference solvers are quick."""
+    rng = random.Random(path)
+    edges, n = [], path
+    for u in range(path - 1):
+        edges += [(u, u + 1, rng.randint(*wt)), (u + 1, u, rng.randint(*wt))]
+    for u in range(0, path, 5):
+        for v in range(n, n + pendants):
+            edges += [(u, v, rng.randint(*wt)), (v, u, rng.randint(*wt))]
+        n += pendants
+    return WeightedDigraph.from_edges(n, edges)
+
+
+def test_broom_gets_the_heavy_path_rebuild_finished_by_binarize(monkeypatch):
+    g = _broom()
+    raw = build_decomposition(g, balance=False)
+    assert raw.height == 197 > HEIGHT_FACTOR * math.log2(g.n)
+    assert sum(len(c) > 2 for c in raw.children) == 40
+    combed = []
+    monkeypatch.setattr(treedec, "_binarize", lambda t: combed.append(t) or _binarize(t))
+    t = build_decomposition(g)
+    # the rebuild leaves bags of more than two children, all combed by _binarize
+    assert len(combed) == 1 and max(len(c) for c in combed[0].children) > 2
+    assert validate(t, g, normalized=True) is None
+    assert t.height <= HEIGHT_FACTOR * math.ceil(math.log2(len(t.bags))) + HEIGHT_FACTOR
+    assert t.width <= 3 * (raw.width + 1) - 1
+    assert mean_values_all_nodes(g) == values_all_nodes(g, karp_mean)
+    assert energy_values_tw(g, t) == energy_values(g)
 
 
 def _heavy(g):
