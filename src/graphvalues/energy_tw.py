@@ -73,21 +73,24 @@ def triple_plus(t1, t2):
     return (a1 + a2, b2, s)
 
 
-def lift(weight_of, u, v, z):
-    """Triple of the single-edge walk u -> v, or None when there is no edge.
+def _lift(f, u, v, z):
+    """Triple of the single-edge walk u -> v of weight f.
 
     Eligible positions are u (when u != z, prefix 0) and v (when v != z,
     prefix f). The sink never anchors: its augmented out-edges all weigh 0,
     so a successor position always ties it.
     """
-    f = weight_of(u, v)
-    if f is None:
-        return None
     if v == z:
         return (f, u, 0)
     if u == z or f >= 0:
         return (f, v, f)
     return (f, u, 0)
+
+
+def lift(weight_of, u, v, z):
+    """Triple of the single-edge walk u -> v, or None when there is no edge."""
+    f = weight_of(u, v)
+    return None if f is None else _lift(f, u, v, z)
 
 
 # -- decomposition plumbing ---------------------------------------------------------
@@ -133,8 +136,9 @@ class _TwState:
         self.exported: list = [None] * nb
         self.rows: list = [None] * nb
         self.fold: list[dict] = [{} for _ in range(nb)]
-        for (u, v) in ag.weights:
-            self.fold[_fold_bag(t, u, v, ag.z)][u * stride + v] = lift(ag.weight_of, u, v, ag.z)
+        fold, z = self.fold, ag.z
+        for (u, v), f in ag.weights.items():
+            fold[_fold_bag(t, u, v, z)][u * stride + v] = _lift(f, u, v, z)
         self.hot: list[int] = []  # anchors of newly seen non-positive closed walks
 
     def recompute_bag(self, b: int) -> None:
@@ -205,10 +209,10 @@ class _TwState:
             b = _fold_bag(t, u, v, z)
             del self.fold[b][u * stride + v]
             touched.add(b)
-        for x, _, lowered in removed_in:
-            if lowered:
+        for x, wt, lowered in removed_in:
+            if lowered:  # (x, z) now weighs wt
                 b = _fold_bag(t, x, z, z)
-                self.fold[b][x * stride + z] = lift(ag.weight_of, x, z, z)
+                self.fold[b][x * stride + z] = _lift(wt, x, z, z)
                 touched.add(b)
         self.stats.kills += 1
 

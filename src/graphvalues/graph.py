@@ -56,25 +56,24 @@ class WeightedDigraph:
             labels = [str(i) for i in range(n)]
         if len(labels) != n:
             raise ValueError(f"{len(labels)} labels for {n} nodes")
-        seen: set[tuple[int, int]] = set()
-        for e in edges:
-            if not (0 <= e.src < n and 0 <= e.dst < n):
-                raise ValueError(f"edge ({e.src},{e.dst}) out of range for n={n}")
-            if e.wtp < 1:
-                raise ValueError(f"edge ({e.src},{e.dst}) has non-positive wtp={e.wtp}")
-            if (e.src, e.dst) in seen:
-                raise ValueError(f"duplicate edge ({e.src},{e.dst})")
-            seen.add((e.src, e.dst))
         self.n = n
         self.edges = list(edges)
         self.labels = list(labels)
         self.out: list[list[int]] = [[] for _ in range(n)]
         self.inc: list[list[int]] = [[] for _ in range(n)]
         self.edge_index: dict[tuple[int, int], int] = {}
+        out, inc, index = self.out, self.inc, self.edge_index
         for i, e in enumerate(self.edges):
-            self.out[e.src].append(i)
-            self.inc[e.dst].append(i)
-            self.edge_index[(e.src, e.dst)] = i
+            u, v = key = e.src, e.dst
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+            if e.wtp < 1:
+                raise ValueError(f"edge ({u},{v}) has non-positive wtp={e.wtp}")
+            if key in index:
+                raise ValueError(f"duplicate edge ({u},{v})")
+            index[key] = i
+            out[u].append(i)
+            inc[v].append(i)
 
     # -- construction helpers -------------------------------------------------
 
@@ -90,8 +89,7 @@ class WeightedDigraph:
         Duplicate (src, dst) pairs keep the smallest (wt, wtp) entry and emit
         a warning; edge order otherwise follows first appearance.
         """
-        best: dict[tuple[int, int], tuple[int, int]] = {}
-        order: list[tuple[int, int]] = []
+        best: dict[tuple[int, int], tuple[int, int]] = {}  # in first-appearance order
         dups = 0
         for t in raw:
             if len(t) == 3:
@@ -100,16 +98,16 @@ class WeightedDigraph:
             else:
                 u, v, w, wp = t
             key = (u, v)
-            if key in best:
-                dups += 1
-                if (w, wp) < best[key]:
-                    best[key] = (w, wp)
-            else:
+            old = best.get(key)
+            if old is None:
                 best[key] = (w, wp)
-                order.append(key)
+            else:
+                dups += 1
+                if (w, wp) < old:
+                    best[key] = (w, wp)
         if dups:
             warnings.warn(f"{dups} duplicate edge(s) dropped, keeping minimum weight", stacklevel=2)
-        edges = [Edge(u, v, *best[(u, v)]) for (u, v) in order]
+        edges = [Edge(u, v, w, wp) for (u, v), (w, wp) in best.items()]
         return cls(n, edges, labels)
 
     def negated(self) -> "WeightedDigraph":
@@ -296,11 +294,31 @@ def _parse_dimacs(text: str) -> WeightedDigraph:
     n = m = None
     raw: list[tuple[int, int, int, int]] = []
     for ln, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
         parts = line.split()
-        if parts[0] == "p":
+        if not parts or parts[0][0] == "c":
+            continue
+        if parts[0] == "a":
+            if n is None:
+                raise ParseError("edge line before problem line", ln)
+            try:
+                if len(parts) == 4:
+                    u, v, w, wp = int(parts[1]), int(parts[2]), int(parts[3]), 1
+                else:
+                    u, v, w, wp = map(int, parts[1:])
+            except ValueError:
+                # Wrong count, or a bad field: name the first bad one.
+                if len(parts) not in (4, 5):
+                    raise ParseError("edge line must be 'a <src> <dst> <wt> [<wtp>]'", ln) from None
+                u = _parse_int(parts[1], "source id", ln)
+                v = _parse_int(parts[2], "target id", ln)
+                w = _parse_int(parts[3], "weight", ln)
+                wp = _parse_int(parts[4], "secondary weight", ln) if len(parts) == 5 else 1
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ParseError(f"node id out of range 1..{n}", ln)
+            if wp < 1:
+                raise ParseError(f"secondary weight must be >= 1, got {wp}", ln)
+            raw.append((u - 1, v - 1, w, wp))
+        elif parts[0] == "p":
             if n is not None:
                 raise ParseError("second problem line", ln)
             if len(parts) != 4 or parts[1] != "mrc":
@@ -311,20 +329,6 @@ def _parse_dimacs(text: str) -> WeightedDigraph:
                 raise ParseError("negative size in problem line", ln)
             if n > DIMACS_MAX_NODES:
                 raise ParseError(f"node count {n} exceeds the limit of {DIMACS_MAX_NODES}", ln)
-        elif parts[0] == "a":
-            if n is None:
-                raise ParseError("edge line before problem line", ln)
-            if len(parts) not in (4, 5):
-                raise ParseError("edge line must be 'a <src> <dst> <wt> [<wtp>]'", ln)
-            u = _parse_int(parts[1], "source id", ln)
-            v = _parse_int(parts[2], "target id", ln)
-            w = _parse_int(parts[3], "weight", ln)
-            wp = _parse_int(parts[4], "secondary weight", ln) if len(parts) == 5 else 1
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(f"node id out of range 1..{n}", ln)
-            if wp < 1:
-                raise ParseError(f"secondary weight must be >= 1, got {wp}", ln)
-            raw.append((u - 1, v - 1, w, wp))
         else:
             raise ParseError(f"unknown line type {parts[0]!r}", ln)
     if n is None:

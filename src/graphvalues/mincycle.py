@@ -58,15 +58,33 @@ class MinCycleResult:
         return 1 if self.exact else max(1, m) * 2**self.height
 
 
-def _getter(slots: tuple):
+def _getter(slots: tuple, cache: dict):
     """A function from a list to the tuple of its entries at ``slots``, or
-    None when there are none."""
-    if not slots:
-        return None
-    if len(slots) == 1:
-        i = slots[0]
-        return lambda xs: (xs[i],)
-    return itemgetter(*slots)
+    None when there are none; one per slot tuple, kept in ``cache``."""
+    f = cache.get(slots)
+    if f is None and slots:
+        if len(slots) == 1:
+            i = slots[0]
+            f = lambda xs: (xs[i],)
+        else:
+            f = itemgetter(*slots)
+        cache[slots] = f
+    return f
+
+
+def _step(slots: tuple, getters: dict) -> tuple:
+    """The :class:`SweepPlan` step of one bag's slot lists, with its getters
+    shared through ``getters``."""
+    take, extra, fold, new, fresh_a, fresh_c, closed, closed_a, closed_c, diag = slots
+    return (
+        _getter(take, getters),
+        extra,
+        fold,
+        new,
+        (_getter(fresh_a, getters), _getter(fresh_c, getters)) if fresh_a else None,
+        (closed, _getter(closed_a, getters), _getter(closed_c, getters)) if closed else None,
+        diag,
+    )
 
 
 class SweepPlan:
@@ -98,82 +116,78 @@ class SweepPlan:
 
     def __init__(self, g: WeightedDigraph, t: TreeDecomposition):
         fold = edge_fold_table(g, t)
-        shared: dict = {}
+        rooted = [t.single_rooted(b) for b in range(len(t.bags))]
+        shared: dict = {}  # step by slot lists: equal steps are one object
         getters: dict = {}
-
-        def share(x):
-            return shared.setdefault(x, x)
-
-        def get(slots):
-            slots = tuple(slots)
-            if slots not in getters:
-                getters[slots] = _getter(slots)
-            return getters[slots]
-
         self.graph = g
         self.steps: list[tuple] = []
         self.edge_order = array("l")  # edge indices in fold order
-        pending: dict[int, list] = {}  # bag -> the pair of each slot of its map
+        pending: dict[int, dict] = {}  # bag -> its slot of each pair, in slot order
         live = peak = 0
         for b in t.postorder():
             bag = t.bags[b]
-            keys: list[tuple[int, int]] = []
+            x = rooted[b]
             index: dict[tuple[int, int], int] = {}
+            # (u, slot of (u, x)) and (v, slot of (x, v)) for u, v != x
+            ins, outs = [], []
             take, extra = [], []
             src = 0
             for c in t.children[b]:
                 for k in pending.pop(c):
-                    if k[0] in bag and k[1] in bag:
-                        if k in index:
-                            extra.append((index[k], src))
-                        else:
-                            index[k] = len(keys)
-                            keys.append(k)
+                    u, v = k
+                    if u in bag and v in bag:
+                        i = index.get(k)
+                        if i is None:
+                            i = index[k] = len(index)
                             take.append(src)
+                            if v == x:
+                                if u != x:
+                                    ins.append((u, i))
+                            elif u == x:
+                                outs.append((v, i))
+                        else:
+                            extra.append((i, src))
                     src += 1
                 live -= 1
             old, new = [], []
             for u, v, ei in fold[b]:
-                if (u, v) in index:
-                    old.append((index[(u, v)], ei))
-                else:
-                    index[(u, v)] = len(keys)
-                    keys.append((u, v))
+                k = (u, v)
+                i = index.get(k)
+                if i is None:
+                    i = index[k] = len(index)
                     new.append(ei)
+                    if v == x:
+                        if u != x:
+                            ins.append((u, i))
+                    elif u == x:
+                        outs.append((v, i))
+                else:
+                    old.append(i)
+                    self.edge_order.append(ei)
             fold[b] = None
-            self.edge_order.extend(ei for _, ei in old)
             self.edge_order.extend(new)
-            x = t.single_rooted(b)
-            fresh, closed = [], []
-            ins = [u for u, v in keys if v == x and u != x]
-            outs = [v for u, v in keys if u == x and v != x]
-            for u in ins:
-                for v in outs:
-                    if (u, v) in index:
-                        closed.append((index[(u, v)], index[(u, x)], index[(x, v)]))
+            fresh_a, fresh_c, closed, closed_a, closed_c = [], [], [], [], []
+            for u, a in ins:
+                for v, c in outs:
+                    k = (u, v)
+                    i = index.get(k)
+                    if i is None:
+                        fresh_a.append(a)
+                        fresh_c.append(c)
+                        index[k] = len(index)
                     else:
-                        fresh.append((index[(u, x)], index[(x, v)]))
-                        index[(u, v)] = len(keys)
-                        keys.append((u, v))
-            step = (
-                get(take),
-                share(tuple(extra)),
-                share(tuple(i for i, _ in old)),
-                len(new),
-                share((get(a for a, _ in fresh), get(c for _, c in fresh))) if fresh else None,
-                share(
-                    (
-                        share(tuple(i for i, _, _ in closed)),
-                        get(a for _, a, _ in closed),
-                        get(c for _, _, c in closed),
-                    )
-                )
-                if closed
-                else None,
-                index.get((x, x), -1),
+                        closed.append(i)
+                        closed_a.append(a)
+                        closed_c.append(c)
+            slots = (
+                tuple(take), tuple(extra), tuple(old), len(new), tuple(fresh_a), tuple(fresh_c),
+                tuple(closed), tuple(closed_a), tuple(closed_c), index.get((x, x), -1),
             )
-            self.steps.append(share(step))
-            pending[b] = keys
+            step = shared.get(slots)
+            if step is None:
+                step = shared[slots] = _step(slots, getters)
+            self.steps.append(step)
+            pending[b] = index
             live += 1
             if live > peak:
                 peak = live

@@ -204,6 +204,7 @@ def _eliminate(g: WeightedDigraph, heuristic: str):
     else:
         raise ValueError(f"unknown elimination heuristic {heuristic!r}")
 
+    heappop, heappush = heapq.heappop, heapq.heappush
     heap = [(key(u), u) for u in range(n)]
     heapq.heapify(heap)
     eliminated = [False] * n
@@ -212,29 +213,26 @@ def _eliminate(g: WeightedDigraph, heuristic: str):
     neighbors_at_elim: list[set[int]] = []
     order: list[int] = []
     while heap:
-        k, u = heapq.heappop(heap)
+        k, u = heappop(heap)
         if eliminated[u]:
             continue
         cur = key(u)
         if k != cur:
-            heapq.heappush(heap, (cur, u))
+            heappush(heap, (cur, u))
             continue
-        nb = set(adj[u])
+        nb = adj[u]  # not copied: once u leaves its neighbours' sets, nothing adds to it
         elim_pos[u] = len(order)
         order.append(u)
         bags.append(frozenset(nb | {u}))
         neighbors_at_elim.append(nb)
         eliminated[u] = True
         for v in nb:
-            adj[v].discard(u)
-        nbl = sorted(nb)
-        for i, a in enumerate(nbl):
-            for b in nbl[i + 1 :]:
-                if b not in adj[a]:
-                    adj[a].add(b)
-                    adj[b].add(a)
+            av = adj[v]
+            av |= nb
+            av.discard(v)
+            av.discard(u)
         for v in nb:
-            heapq.heappush(heap, (key(v), v))
+            heappush(heap, (key(v), v))
 
     parent: list[int | None] = [None] * len(bags)
     for i, nb in enumerate(neighbors_at_elim):

@@ -260,3 +260,60 @@ def test_induced_subgraph_keeps_labels(five_chain):
 def test_large_parse_is_strict_about_header_count():
     with pytest.raises(ParseError):
         parse_graph("p mrc 3 2\na 1 2 0\n", "dimacs")  # promised 2 arcs, gave 1
+
+
+# -- the DIMACS contract -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "fields, what",
+    [
+        ("x 2 1", "source id"),
+        ("1 2.0 1", "target id"),
+        ("1 2 one", "weight"),
+        ("1 2 1 1e3", "secondary weight"),
+    ],
+)
+def test_dimacs_bad_field_names_the_field_and_line(fields, what):
+    text = f"c arcs\np mrc 2 2\na 2 1 0\na {fields}\n"
+    with pytest.raises(ParseError, match=f"^line 4: bad {what} ") as exc:
+        parse_graph(text, "dimacs")
+    assert exc.value.line == 4
+
+
+@pytest.mark.parametrize(
+    "arc, line, message",
+    [
+        ("a 1 2", 3, "edge line must be"),
+        ("a 1 2 3 4 5", 3, "edge line must be"),
+        ("a 1 3 0", 3, "out of range"),
+        ("a 0 2 0", 3, "out of range"),
+        ("a 1 2 0 0", 3, "secondary weight must be >= 1"),
+        ("a 1 2 0 -2", 3, "secondary weight must be >= 1"),
+        ("a 1 2 0\na 2 1 0", None, "declares 2 edges, found 3"),
+    ],
+)
+def test_dimacs_arc_violations_raise_parse_error(arc, line, message):
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_graph(f"p mrc 2 2\na 2 1 0\n{arc}\n", "dimacs")
+    assert exc.value.line == line
+
+
+def test_dimacs_duplicates_keep_the_minimum_in_first_appearance_order():
+    text = "p mrc 3 6\na 2 3 4\na 1 2 5 2\na 2 3 4 1\na 1 2 5 1\na 3 1 0\na 1 2 7 1\n"
+    with pytest.warns(UserWarning) as record:
+        g = parse_graph(text, "dimacs")
+    assert [str(w.message) for w in record] == [
+        "3 duplicate edge(s) dropped, keeping minimum weight"
+    ]
+    assert [(e.src, e.dst, e.wt, e.wtp) for e in g.edges] == [(1, 2, 4, 1), (0, 1, 5, 1), (2, 0, 0, 1)]
+    assert g.edge_index == {(1, 2): 0, (0, 1): 1, (2, 0): 2}
+
+
+def test_dimacs_long_weights():
+    g = parse_graph(f"p mrc 2 1\na 1 2 -{'9' * 4300} 7\n", "dimacs")
+    assert g.edges[0].wt == -(10**4300 - 1) and g.edges[0].wtp == 7
+    # Past Python's default limit on int() of a decimal string.
+    with pytest.raises(ParseError, match="^line 2: bad weight") as exc:
+        parse_graph(f"p mrc 2 1\na 1 2 {'9' * 5000}\n", "dimacs")
+    assert exc.value.line == 2

@@ -7,7 +7,7 @@ import pytest
 from conftest import sc_ktree, small_random
 
 from graphvalues import mincycle
-from graphvalues.generate import gen_ktree
+from graphvalues.generate import gen_cfg_like, gen_ktree
 from graphvalues.graph import INF, WeightedDigraph
 from graphvalues.mincycle import min_cycle
 from graphvalues.oracles import enumerate_cycles, min_cycle_weight_by_enumeration
@@ -254,3 +254,31 @@ def test_searches_compile_one_plan_per_decomposition(monkeypatch, solve):
     calls.clear()
     solve(g, None, SearchStats())  # a tree built by the search itself
     assert len(calls) == 1
+
+
+def _resolved(x, slots=range(1 << 30)):
+    """A plan step with every getter replaced by the slot list it reads."""
+    if callable(x):
+        return list(x(slots))
+    if isinstance(x, tuple):
+        return tuple(_resolved(y) for y in x)
+    return x
+
+
+def test_sweep_plans_are_pinned():
+    """The compiled plans themselves, on default and heavy-path trees of
+    seeded k-trees and cfg-like graphs: fold order, peak maps, every step
+    with its getters resolved, and how many distinct steps are shared."""
+    h = hashlib.sha256()
+    for seed in range(4):
+        for g in (
+            gen_ktree(150, k=2 + seed % 2, seed=seed, wt=(-9, 9)),
+            gen_cfg_like(120, seed=seed),
+        ):
+            raw = build_decomposition(g, balance=False)
+            for t in (build_decomposition(g), _heavy_path_balance(raw)):
+                plan = mincycle.SweepPlan(g, t)
+                distinct = len({id(s) for s in plan.steps})
+                h.update(repr((list(plan.edge_order), plan.peak_maps, distinct)).encode())
+                h.update(repr([_resolved(s) for s in plan.steps]).encode())
+    assert h.hexdigest() == "07fa5423477e87cc5fd08f16850c82ea11ea2d9e35aacfefe14c5627e87d5c97"

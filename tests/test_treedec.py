@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from collections import deque
@@ -339,3 +340,15 @@ def test_bags_are_separators():
             for a in inside:
                 for z in outside:
                     assert not _connected_avoiding(g, a, z, sep), (seed, b, a, z)
+
+
+def test_elimination_trees_are_pinned():
+    """The raw elimination trees of both heuristics, bag for bag, so the
+    (key, node) tie-breaking of the elimination order stays as it is."""
+    h = hashlib.sha256()
+    for seed in range(4):
+        for g in (gen_ktree(200, k=2 + seed % 2, seed=seed), gen_cfg_like(150, seed=seed)):
+            for heuristic in ("min-degree", "min-fill"):
+                t = build_decomposition(g, heuristic, balance=False)
+                h.update(decomposition_to_text(t).encode())
+    assert h.hexdigest() == "2d212ab73272ddd522150cba595428ab61943f97d09724be4f53b446703299fa"
