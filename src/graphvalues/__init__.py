@@ -19,7 +19,6 @@ from .energy import (
 from .energy_tw import (
     TwStats,
     energy_values_tw,
-    lift,
     nonpositive_values_tw,
     sssp_to_z_treedec,
     triple_plus,
@@ -85,7 +84,6 @@ __all__ = [
     "energy_values_tw",
     "highest_energy_node",
     "induced_subgraph",
-    "lift",
     "load_graph",
     "mean_value",
     "mean_values_all_nodes",

@@ -187,10 +187,13 @@ def zero_energy_nodes(g: WeightedDigraph) -> tuple[list[int], AugmentedGraph]:
     raise InvariantError("kill loop outlived the node budget")
 
 
-def sink_distance_values(ag: AugmentedGraph, dist) -> list:
+def sink_distance_values(ag, dist) -> list:
     """Energies (non-positive convention) of the original nodes from the
     distances to the sink in the final augmented graph: 0 for killed nodes,
-    -d for the others, -inf where the sink is unreachable."""
+    -d for the others, -inf where the sink is unreachable.
+
+    ``ag`` is an AugmentedGraph or the state of :mod:`.energy_tw`; only its
+    sink ``z`` and its ``alive`` flags are read."""
     vals: list = [0] * ag.z
     for u in range(ag.z):
         if not ag.alive[u]:

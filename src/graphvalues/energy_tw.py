@@ -1,19 +1,27 @@
 """Energy values by dynamic programming over a tree decomposition.
 
-This mirrors :mod:`.energy` (same augmented graph, same kill rule, same
-final shortest-path-to-sink step) but replaces every Bellman-Ford scan with
-bag-local work. Walks are summarized by *triples* (a, b, c): a is the walk
-weight, c the maximum prefix sum over the walk's eligible positions (every
-position whose node is not the sink z; the empty prefix counts), and b the
-anchor — a node attaining that maximum. A closed walk with a <= 0 certifies
-a non-positive cycle, and its anchor is a highest-energy node of that cycle,
-so it can be killed directly without re-running any global detection.
+This mirrors :mod:`.energy` (same sink, same kill rule, same final
+shortest-path-to-sink step) but replaces every Bellman-Ford scan with
+bag-local work, and it never copies the input into an augmented graph: g's
+own edge lists are read as they are, and the sink edges and the redirected
+edges exist only as fold-set entries. Walks are summarized by *triples*
+(a, b, c): a is the walk weight, c the maximum prefix sum over the walk's
+eligible positions (every position whose node is not the sink z; the empty
+prefix counts), and b the anchor — a node attaining that maximum. A closed
+walk with a <= 0 certifies a non-positive cycle, and its anchor is a
+highest-energy node of that cycle, so it can be killed directly without
+re-running any global detection.
 
 The bags are those of the caller's decomposition t of the original nodes.
 The sink z is an implicit member of every bag, rooted above t's root, so no
 second tree is built. Each edge weight enters at one fold bag: a real edge
 (u, v) at the root bag of its deeper-rooted endpoint, a sink edge (u, z) or
-(z, u) at the root bag of u.
+(z, u) at the root bag of u. It enters as the triple of its one-edge walk,
+its *lift*. The eligible positions are u (prefix 0) and v (prefix f, the
+edge weight), the sink excepted, so a real edge lifts to (f, v, f) when
+f >= 0 and to (f, u, 0) otherwise, a sink edge (z, u) to (0, u, 0) and a
+redirected edge (x, z) to (f, x, 0). The sink never anchors: its edges
+(z, u) all weigh 0, so a successor position always ties it.
 
 A bag b rooting node x summarizes the best known walks between its nodes
 (z included) whose intermediates are rooted in b's subtree, in two parts:
@@ -53,7 +61,7 @@ from dataclasses import dataclass
 
 from .energy import NEG_INF, AugmentedGraph, sink_distance_values
 from .graph import INF, InvariantError, WeightedDigraph
-from .treedec import TreeDecomposition, build_decomposition, fold_bag_of_edge
+from .treedec import TreeDecomposition, build_decomposition
 
 # -- walk triples ------------------------------------------------------------------
 
@@ -73,45 +81,6 @@ def triple_plus(t1, t2):
     return (a1 + a2, b2, s)
 
 
-def _lift(f, u, v, z):
-    """Triple of the single-edge walk u -> v of weight f.
-
-    Eligible positions are u (when u != z, prefix 0) and v (when v != z,
-    prefix f). The sink never anchors: its augmented out-edges all weigh 0,
-    so a successor position always ties it.
-    """
-    if v == z:
-        return (f, u, 0)
-    if u == z or f >= 0:
-        return (f, v, f)
-    return (f, u, 0)
-
-
-def lift(weight_of, u, v, z):
-    """Triple of the single-edge walk u -> v, or None when there is no edge."""
-    f = weight_of(u, v)
-    return None if f is None else _lift(f, u, v, z)
-
-
-# -- decomposition plumbing ---------------------------------------------------------
-
-
-def _fold_bag(t: TreeDecomposition, u: int, v: int, z: int) -> int:
-    """The bag of ``t`` where the augmented edge (u, v) folds.
-
-    A real edge folds where :func:`fold_bag_of_edge` puts it. The sink z is
-    an implicit member of every bag, rooted above the root, so an edge
-    (u, z) or (z, u) folds at the root bag of u.
-    """
-    if u == z or v == z:
-        w = v if u == z else u
-        b = t.root_bag_of[w]
-        if b < 0:
-            raise InvariantError(f"node {w} is in no bag")
-        return b
-    return fold_bag_of_edge(t, u, v)
-
-
 @dataclass
 class TwStats:
     kills: int = 0
@@ -122,23 +91,49 @@ class TwStats:
 
 
 class _TwState:
-    """Exported maps, rows, fold sets and reported anchors for one augmented graph."""
+    """The energy solve on g and t: fold sets, exported maps, rows, reported
+    anchors, and the kills applied so far.
 
-    __slots__ = ("ag", "t", "stats", "stride", "rooted", "exported", "rows", "fold", "hot")
+    The solved graph is g with every weight times ``sign``, plus the sink z =
+    g.n with an edge (z, u) of weight 0 per node u. It is never built: g's
+    edge lists stay as they are, ``alive`` marks the killed nodes, whose
+    edges are gone, and ``to_z`` holds the weight of each redirected edge
+    (x, z).
+    """
 
-    def __init__(self, ag: AugmentedGraph, t: TreeDecomposition, stats: TwStats):
-        self.ag = ag
+    __slots__ = (
+        "g", "t", "stats", "z", "stride", "alive", "to_z",
+        "rooted", "exported", "rows", "fold", "hot",
+    )
+
+    def __init__(self, g: WeightedDigraph, t: TreeDecomposition, sign: int, stats: TwStats):
+        self.g = g
         self.t = t
         self.stats = stats
-        self.stride = stride = ag.z + 1
+        self.z = z = g.n
+        self.stride = stride = z + 1
+        self.alive = [True] * z
+        self.to_z: dict[int, int] = {}
         nb = len(t.bags)
         self.rooted = [t.single_rooted(b) for b in range(nb)]
         self.exported: list = [None] * nb
         self.rows: list = [None] * nb
         self.fold: list[dict] = [{} for _ in range(nb)]
-        fold, z = self.fold, ag.z
-        for (u, v), f in ag.weights.items():
-            fold[_fold_bag(t, u, v, z)][u * stride + v] = _lift(f, u, v, z)
+        fold, bags, level, root_bag_of = self.fold, t.bags, t.level, t.root_bag_of
+        for e in g.edges:
+            # fold_bag_of_edge and the lift of a real edge, inline
+            u, v, f = e.src, e.dst, sign * e.wt
+            bu, bv = root_bag_of[u], root_bag_of[v]
+            b = bu if level[bu] >= level[bv] else bv
+            bag = bags[b]
+            if u not in bag or v not in bag:
+                raise InvariantError(f"edge ({u},{v}) not covered by fold bag {b}")
+            fold[b][u * stride + v] = (f, v, f) if f >= 0 else (f, u, 0)
+        base = z * stride
+        for u, b in enumerate(root_bag_of):
+            if b < 0:
+                raise InvariantError(f"node {u} is in no bag")
+            fold[b][base + u] = (0, u, 0)
         self.hot: list[int] = []  # anchors of newly seen non-positive closed walks
 
     def recompute_bag(self, b: int) -> None:
@@ -170,7 +165,7 @@ class _TwState:
             self.hot.append(diag[1])
         ins = []
         outs = []
-        for v in (*self.t.bags[b], self.ag.z):  # the sink is in every bag
+        for v in (*self.t.bags[b], self.z):  # the sink is in every bag
             if v != x:
                 tri = pop(base + v, None)
                 if tri is not None:
@@ -201,19 +196,41 @@ class _TwState:
         self.stats.initial_bags += len(self.t.bags)
 
     def kill(self, w: int, touched: set) -> None:
-        """Kill w and keep the fold sets in step, adding the bags it touched."""
-        ag, t, stride, z = self.ag, self.t, self.stride, self.ag.z
-        edges = {(x, w) for x in ag.inc[w]} | {(w, y) for y in ag.out[w]}
-        removed_in, _ = ag.kill(w)
-        for u, v in edges:
-            b = _fold_bag(t, u, v, z)
-            del self.fold[b][u * stride + v]
-            touched.add(b)
-        for x, wt, lowered in removed_in:
-            if lowered:  # (x, z) now weighs wt
-                b = _fold_bag(t, x, z, z)
-                self.fold[b][x * stride + z] = _lift(wt, x, z, z)
+        """Kill w as :meth:`.energy.AugmentedGraph.kill` does, adding the bags it touched.
+
+        The edges of w to and from live nodes and the sink are deleted, a
+        self-loop among them. Each live in-edge (x, w) is redirected: (x, z)
+        takes the lighter of its old weight and the weight of (x, w).
+        """
+        g, t, stride, z, alive, to_z = self.g, self.t, self.stride, self.z, self.alive, self.to_z
+        edges, fold, level, root_bag_of = g.edges, self.fold, t.level, t.root_bag_of
+        bw = root_bag_of[w]
+        lw = level[bw]
+        del fold[bw][z * stride + w]
+        touched.add(bw)
+        if to_z.pop(w, None) is not None:
+            del fold[bw][w * stride + z]
+        wbase = w * stride
+        for i in g.out[w]:
+            y = edges[i].dst
+            if alive[y]:  # the self-loop too: w is still alive
+                by = root_bag_of[y]
+                b = bw if lw >= level[by] else by
+                del fold[b][wbase + y]
                 touched.add(b)
+        alive[w] = False
+        for i in g.inc[w]:
+            x = edges[i].src
+            if alive[x]:
+                bx = root_bag_of[x]
+                b = bx if level[bx] >= lw else bw
+                f = fold[b].pop(x * stride + w)[0]
+                touched.add(b)
+                old = to_z.get(x)
+                if old is None or f < old:
+                    to_z[x] = f
+                    fold[bx][x * stride + z] = (f, x, 0)
+                    touched.add(bx)
         self.stats.kills += 1
 
     def repair(self, touched: set) -> None:
@@ -231,22 +248,22 @@ class _TwState:
 
 
 def zero_energy_nodes_tw(
-    ag: AugmentedGraph,
+    g: WeightedDigraph,
     t: TreeDecomposition,
     stats: TwStats | None = None,
-) -> tuple[list[int], list]:
-    """Kill every zero-energy node of the augmented graph, bag-locally.
+    sign: int = 1,
+) -> tuple[list[int], _TwState]:
+    """Kill every zero-energy node of g with its weights times ``sign``, bag-locally.
 
-    Returns the killed nodes in kill order and the final rows, which
-    :func:`sssp_to_z_treedec` reads. ``ag`` is mutated in place. ``t``
-    decomposes the original nodes 0..z-1 and must be normalized
-    (InvariantError if not); the sink z is taken as a member of every bag.
-    Run on an augmented graph that has no zero-energy node left, it kills
-    nothing.
+    Returns the killed nodes in kill order and the final state, whose rows
+    :func:`sssp_to_z_treedec` reads. ``t`` decomposes g's nodes 0..z-1 and
+    must be normalized (InvariantError if not); the sink z is taken as a
+    member of every bag. Rerun on the final state, :meth:`_TwState.initial_pass`
+    reports no anchor.
     """
-    st = _TwState(ag, t, stats if stats is not None else TwStats())
+    st = _TwState(g, t, sign, stats if stats is not None else TwStats())
     st.initial_pass()
-    alive = ag.alive
+    alive = st.alive
     xs: list[int] = []
     while st.hot:
         batch, st.hot = st.hot, []
@@ -258,23 +275,24 @@ def zero_energy_nodes_tw(
             else:
                 st.stats.hot_discarded += 1
         st.repair(touched)
-    return xs, st.rows
+    return xs, st
 
 
-def sssp_to_z_treedec(ag: AugmentedGraph, t: TreeDecomposition, rows: list) -> list:
+def sssp_to_z_treedec(st: _TwState) -> list:
     """Exact distance from every node to the sink in the final graph.
 
-    ``rows`` are the rows left by :func:`zero_energy_nodes_tw` on ``t``; the
-    weight part of each triple is the min-plus closure of the final graph
-    over the bag's subtree. One top-down sweep from d(z) = 0 reads the
+    ``st`` is the state left by :func:`zero_energy_nodes_tw`; the weight
+    part of each triple in its rows is the min-plus closure of the final
+    graph over the bag's subtree. One top-down sweep from d(z) = 0 reads the
     distances: the node x rooted at a bag closes over the bag's other
     members, the sink included, which are all rooted at strict ancestors
     (the sink above the root) and therefore already final. A non-positive
     (x, x) diagonal means a surviving non-positive cycle and raises.
     """
-    dist: list = [INF] * (ag.z + 1)
-    dist[ag.z] = 0
-    for b in t.bfs_order:
+    dist: list = [INF] * (st.z + 1)
+    dist[st.z] = 0
+    rows, rooted = st.rows, st.rooted
+    for b in st.t.bfs_order:
         row = rows[b]
         if row is None:
             continue
@@ -288,35 +306,40 @@ def sssp_to_z_treedec(ag: AugmentedGraph, t: TreeDecomposition, rows: list) -> l
                 cand = e[0] + d
                 if cand < best:
                     best = cand
-        dist[t.single_rooted(b)] = best
+        dist[rooted[b]] = best
     return dist
 
 
 # -- public value pipelines ---------------------------------------------------------
 
 
+def _values_tw(
+    g: WeightedDigraph, t: TreeDecomposition | None, stats: TwStats | None, sign: int
+) -> list:
+    """Energies of g with its weights times ``sign``, non-positive convention."""
+    if t is not None and t.n_nodes != g.n:
+        raise ValueError(f"decomposition has {t.n_nodes} nodes, graph has {g.n}")
+    if g.n == 0:
+        return []
+    if t is None:
+        t = build_decomposition(g)
+    _, st = zero_energy_nodes_tw(g, t, stats, sign)
+    return sink_distance_values(st, sssp_to_z_treedec(st))
+
+
 def nonpositive_values_tw(
-    g: WeightedDigraph | AugmentedGraph,
+    g: WeightedDigraph,
     t: TreeDecomposition | None = None,
     stats: TwStats | None = None,
 ) -> list:
     """Energy per node, non-positive convention; decomposition-based.
 
-    ``g`` may also be a fresh AugmentedGraph, which the kills use up; ``t``
-    must then be given, decomposing its original nodes (ValueError if it is
-    not). A ``t`` of another node count raises ValueError.
+    A ``t`` of another node count raises ValueError, and so does an
+    AugmentedGraph in place of g.
     """
-    if t is None and isinstance(g, AugmentedGraph):
-        raise ValueError("an AugmentedGraph needs the decomposition t of its original nodes")
-    ag = g if isinstance(g, AugmentedGraph) else AugmentedGraph(g)
-    if t is not None and t.n_nodes != ag.z:
-        raise ValueError(f"decomposition has {t.n_nodes} nodes, graph has {ag.z}")
-    if ag.z == 0:
-        return []
-    if t is None:
-        t = build_decomposition(g)
-    _, rows = zero_energy_nodes_tw(ag, t, stats)
-    return sink_distance_values(ag, sssp_to_z_treedec(ag, t, rows))
+    if isinstance(g, AugmentedGraph):
+        raise ValueError("pass the WeightedDigraph and its decomposition t, not an AugmentedGraph")
+    return _values_tw(g, t, stats, 1)
 
 
 def energy_values_tw(
@@ -325,7 +348,4 @@ def energy_values_tw(
     stats: TwStats | None = None,
 ) -> list:
     """Minimum initial credit per node, standard convention (>= 0 or inf)."""
-    if t is None:
-        t = build_decomposition(g)
-    vals = nonpositive_values_tw(AugmentedGraph(g, negate=True), t, stats)
-    return [INF if v == NEG_INF else -v for v in vals]
+    return [INF if v == NEG_INF else -v for v in _values_tw(g, t, stats, -1)]

@@ -206,6 +206,7 @@ def _eliminate(g: WeightedDigraph, heuristic: str):
 
     heappop, heappush = heapq.heappop, heapq.heappush
     heap = [(key(u), u) for u in range(n)]
+    pushed = [k for k, _ in heap]  # the key each node's newest entry carries
     heapq.heapify(heap)
     eliminated = [False] * n
     elim_pos: list[int] = [-1] * n
@@ -218,7 +219,9 @@ def _eliminate(g: WeightedDigraph, heuristic: str):
             continue
         cur = key(u)
         if k != cur:
-            heappush(heap, (cur, u))
+            if cur != pushed[u]:  # else that entry is still queued
+                pushed[u] = cur
+                heappush(heap, (cur, u))
             continue
         nb = adj[u]  # not copied: once u leaves its neighbours' sets, nothing adds to it
         elim_pos[u] = len(order)
@@ -232,7 +235,10 @@ def _eliminate(g: WeightedDigraph, heuristic: str):
             av.discard(v)
             av.discard(u)
         for v in nb:
-            heappush(heap, (key(v), v))
+            kv = key(v)
+            if kv != pushed[v]:
+                pushed[v] = kv
+                heappush(heap, (kv, v))
 
     parent: list[int | None] = [None] * len(bags)
     for i, nb in enumerate(neighbors_at_elim):

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import random
+from dataclasses import astuple
 
 import pytest
 from conftest import small_random
 
-from graphvalues import energy_tw
+from graphvalues import energy, energy_tw
 from graphvalues.energy import (
     AugmentedGraph,
     nonpositive_values,
@@ -15,12 +17,12 @@ from graphvalues.energy import (
 from graphvalues.energy_tw import (
     TwStats,
     energy_values_tw,
-    lift,
     nonpositive_values_tw,
     sssp_to_z_treedec,
     triple_plus,
     zero_energy_nodes_tw,
 )
+from graphvalues.generate import gen_cfg_like, gen_ktree
 from graphvalues.graph import INF, InvariantError, WeightedDigraph
 from graphvalues.oracles import bellman_ford_edges, energy_fixpoint
 from graphvalues.treedec import TreeDecomposition, build_decomposition, validate
@@ -86,15 +88,24 @@ def test_triple_plus_is_associative_over_random_groupings():
 # -- lift ---------------------------------------------------------------
 
 
+def _lifted(st) -> dict:
+    """Every fold-set triple of a state, keyed by its edge (u, v)."""
+    return {divmod(k, st.stride): tri for fold in st.fold for k, tri in fold.items()}
+
+
 def test_lift_rules():
-    z = 9
-    wts = {(3, z): -5, (z, 4): 0, (2, 5): 4, (6, 7): -3}
-    wf = lambda a, b: wts.get((a, b))
-    assert lift(wf, 3, z, z) == (-5, 3, 0)  # walks may not peak at z
-    assert lift(wf, z, 4, z) == (0, 4, 0)
-    assert lift(wf, 2, 5, z) == (4, 5, 4)
-    assert lift(wf, 6, 7, z) == (-3, 6, 0)
-    assert lift(wf, 0, 1, z) is None
+    # killing node 1 redirects the edge (3, 1) onto (3, z)
+    g = WeightedDigraph.from_edges(9, [(3, 1, -5), (2, 5, 4), (6, 7, -3), (8, 0, 0)])
+    st = energy_tw._TwState(g, build_decomposition(g), 1, TwStats())
+    st.kill(1, set())
+    z = st.z
+    lifted = _lifted(st)
+    assert lifted[(3, z)] == (-5, 3, 0)  # walks may not peak at z
+    assert lifted[(z, 4)] == (0, 4, 0)
+    assert lifted[(2, 5)] == (4, 5, 4)
+    assert lifted[(6, 7)] == (-3, 6, 0)
+    assert lifted[(8, 0)] == (0, 0, 0)
+    assert (3, 1) not in lifted and (z, 1) not in lifted
 
 
 # -- the implicit sink ---------------------------------------------------------------
@@ -138,7 +149,20 @@ def test_augmented_graph_without_a_decomposition_is_refused(two_gadget, monkeypa
     monkeypatch.setattr(energy_tw, "build_decomposition", lambda g: built.append(g))
     with pytest.raises(ValueError, match="decomposition"):
         nonpositive_values_tw(AugmentedGraph(two_gadget))
+    with pytest.raises(ValueError, match="AugmentedGraph"):
+        nonpositive_values_tw(AugmentedGraph(two_gadget), build_decomposition(two_gadget))
     assert built == []
+
+
+def test_tw_solvers_build_no_augmented_graph(monkeypatch):
+    graphs = [small_random(seed, wt=(-6, 6)) for seed in range(20)] + [_cascade_graph(1)]
+    want = [(energy_values_tw(g), nonpositive_values_tw(g)) for g in graphs]
+
+    def refuse(self, *args, **kw):
+        raise AssertionError("AugmentedGraph built")
+
+    monkeypatch.setattr(energy.AugmentedGraph, "__init__", refuse)
+    assert [(energy_values_tw(g), nonpositive_values_tw(g)) for g in graphs] == want
 
 
 # -- zero-energy discovery ---------------------------------------------------------------
@@ -148,19 +172,16 @@ def test_zero_set_matches_general_algorithm():
     for seed in range(80):
         g = small_random(seed, wt=(-6, 6))
         xs_general, _ = zero_energy_nodes(g)
-        ag = AugmentedGraph(g)
-        xs_tw, _ = zero_energy_nodes_tw(ag, build_decomposition(g))
+        xs_tw, _ = zero_energy_nodes_tw(g, build_decomposition(g))
         assert set(xs_tw) == set(xs_general), seed
 
 
 def test_quiescence_means_no_nonpositive_cycle():
     for seed in range(40):
         g = small_random(seed, wt=(-5, 7))
-        ag = AugmentedGraph(g)
-        t = build_decomposition(g)
-        zero_energy_nodes_tw(ag, t)
-        xs, _ = zero_energy_nodes_tw(ag, t)  # a fresh pass over the final graph
-        assert xs == [], seed
+        _, st = zero_energy_nodes_tw(g, build_decomposition(g))
+        st.initial_pass()  # a fresh pass over the final graph
+        assert st.hot == [], seed
 
 
 def test_five_chain_values_tw(five_chain):
@@ -168,6 +189,14 @@ def test_five_chain_values_tw(five_chain):
 
 
 # -- shortest paths to z ---------------------------------------------------------------
+
+
+def _replayed(g: WeightedDigraph, xs: list[int], negate: bool = False) -> AugmentedGraph:
+    """The final graph of the general algorithm's kill rule, run on xs in order."""
+    ag = AugmentedGraph(g, negate)
+    for w in xs:
+        ag.kill(w)
+    return ag
 
 
 def _bf_dist_to_z(ag: AugmentedGraph) -> list:
@@ -180,24 +209,50 @@ def _bf_dist_to_z(ag: AugmentedGraph) -> list:
 def test_sssp_matches_bellman_ford_without_kills():
     for seed in range(40):
         g = small_random(seed, wt=(1, 9))  # positive weights: nothing to kill
-        ag = AugmentedGraph(g)
-        t = build_decomposition(g)
-        xs, rows = zero_energy_nodes_tw(ag, t)
+        xs, st = zero_energy_nodes_tw(g, build_decomposition(g))
         assert xs == [], seed
-        assert sssp_to_z_treedec(ag, t, rows) == _bf_dist_to_z(ag), seed
+        assert sssp_to_z_treedec(st) == _bf_dist_to_z(AugmentedGraph(g)), seed
 
 
 def test_sssp_matches_bellman_ford_after_kills():
     for seed in range(60):
         g = small_random(seed, wt=(-6, 8))
-        ag = AugmentedGraph(g)
-        t = build_decomposition(g)
-        _, rows = zero_energy_nodes_tw(ag, t)
-        got = sssp_to_z_treedec(ag, t, rows)
+        xs, st = zero_energy_nodes_tw(g, build_decomposition(g))
+        got = sssp_to_z_treedec(st)
+        ag = _replayed(g, xs)
         want = _bf_dist_to_z(ag)
         for u in range(ag.z + 1):
             if ag.alive[u]:
                 assert got[u] == want[u], (seed, u)
+
+
+def _loopy_graph(seed: int) -> WeightedDigraph:
+    """Small random digraph with self-loops and 2-cycles."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    wts = {}
+    for _ in range(rng.randint(0, 3 * n)):
+        u = rng.randrange(n)
+        v = u if rng.random() < 0.15 else rng.randrange(n)
+        wts[(u, v)] = rng.randint(-6, 6)
+        if rng.random() < 0.3:
+            wts[(v, u)] = rng.randint(-6, 6)
+    return WeightedDigraph.from_edges(n, [(u, v, w) for (u, v), w in wts.items()])
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_kills_replayed_through_the_general_kill_rule(sign):
+    loops_killed = 0
+    for seed in range(150):
+        g = _loopy_graph(seed)
+        xs, st = zero_energy_nodes_tw(g, build_decomposition(g), sign=sign)
+        ag = _replayed(g, xs, negate=sign < 0)
+        assert st.alive == ag.alive[: g.n], seed
+        assert st.to_z == {x: ag.weight_of(x, ag.z) for x in ag.inc[ag.z]}, seed
+        # every edge left, the sink's and the redirected ones included
+        assert {e: tri[0] for e, tri in _lifted(st).items()} == dict(ag.edges_alive()), seed
+        loops_killed += sum((w, w) in g.edge_index for w in xs)
+    assert loops_killed >= 10
 
 
 # -- full values ---------------------------------------------------------------
@@ -299,16 +354,16 @@ def test_kill_rounds_on_cascades_match_the_references():
             build_decomposition(g, balance=False),
             build_decomposition(g, "min-fill"),
         ):
-            ag = AugmentedGraph(g)
             stats = TwStats()
-            xs, rows = zero_energy_nodes_tw(ag, t, stats)
+            xs, st = zero_energy_nodes_tw(g, t, stats)
             assert len(xs) == len(set(xs)) == stats.kills, seed
             assert set(xs) == set(want_xs), seed
-            assert sink_distance_values(ag, sssp_to_z_treedec(ag, t, rows)) == want, seed
-            fresh_xs, fresh_rows = zero_energy_nodes_tw(ag, t)
-            assert fresh_xs == [], seed
+            assert sink_distance_values(st, sssp_to_z_treedec(st)) == want, seed
+            rows = _weights(st.rows)
+            st.initial_pass()  # a fresh pass over the final graph
+            assert st.hot == [], seed
             # the repaired rows are the rows of a fresh pass over the final graph
-            assert _weights(rows) == _weights(fresh_rows), seed
+            assert _weights(st.rows) == rows, seed
             assert energy_values_tw(g.negated(), t) == want_std, seed
             most_rounds = max(most_rounds, stats.rounds)
             batched += stats.rounds < stats.kills
@@ -320,6 +375,49 @@ def test_unnormalized_decomposition_raises():
     g = WeightedDigraph.from_edges(2, [(0, 1, -1), (1, 0, 0)])
     t = TreeDecomposition([{0, 1}], [None], 2)  # one bag rooting both nodes
     with pytest.raises(InvariantError):
-        zero_energy_nodes_tw(AugmentedGraph(g), t)
+        zero_energy_nodes_tw(g, t)
     with pytest.raises(InvariantError):
         nonpositive_values_tw(g, t)
+
+
+def test_energy_solver_is_pinned(monkeypatch):
+    """Per-node values, kill lists in order, every TwStats field and the
+    final row weights of both conventions, on seeded k-trees, cfg-like
+    graphs and cascades under three trees each, so a rewrite of the energy
+    state keeps every output and every tie-break as it is."""
+    states = []
+    init = energy_tw._TwState.__init__
+
+    def keeping_init(self, *args, **kw):
+        init(self, *args, **kw)
+        states.append(self)
+
+    seen = []
+    solve = energy_tw.zero_energy_nodes_tw
+
+    def recording(*args, **kw):
+        result = solve(*args, **kw)
+        seen.append((result[0], _weights(states.pop().rows)))
+        return result
+
+    monkeypatch.setattr(energy_tw._TwState, "__init__", keeping_init)
+    monkeypatch.setattr(energy_tw, "zero_energy_nodes_tw", recording)
+    h = hashlib.sha256()
+    for seed in range(3):
+        for g in (
+            gen_ktree(400, k=2 + seed % 2, seed=seed, ensure_sc=False),
+            gen_cfg_like(200, seed=seed),
+            _cascade_graph(seed),
+            _cascade_graph(seed + 3),
+        ):
+            for t in (
+                build_decomposition(g),
+                build_decomposition(g, balance=False),
+                build_decomposition(g, "min-fill"),
+            ):
+                for solver in (energy_values_tw, nonpositive_values_tw):
+                    stats = TwStats()
+                    vals = solver(g, t, stats)
+                    h.update(repr((vals, seen.pop(), astuple(stats))).encode())
+    assert seen == states == []
+    assert h.hexdigest() == "af19919996b31304b203f78096707652c83b3a7556b89a8ff2ed937bac6c62d5"

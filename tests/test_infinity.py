@@ -53,7 +53,7 @@ def test_sink_distance_readout_maps_fresh_inf():
     "module, inner, outer",
     [
         (energy, "nonpositive_values", energy.energy_values),
-        (energy_tw, "nonpositive_values_tw", energy_tw.energy_values_tw),
+        (energy_tw, "_values_tw", energy_tw.energy_values_tw),
     ],
 )
 def test_energy_readouts_map_fresh_neg_inf(monkeypatch, module, inner, outer):
