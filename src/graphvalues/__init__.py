@@ -12,18 +12,10 @@ from .energy import (
     decision_energy,
     detect_nonpositive_cycle,
     energy_values,
-    highest_energy_node,
     nonpositive_values,
     zero_energy_nodes,
 )
-from .energy_tw import (
-    TwStats,
-    energy_values_tw,
-    nonpositive_values_tw,
-    sssp_to_z_treedec,
-    triple_plus,
-    zero_energy_nodes_tw,
-)
+from .energy_tw import TwStats, energy_values_tw, nonpositive_values_tw
 from .graph import (
     INF,
     Edge,
@@ -82,7 +74,6 @@ __all__ = [
     "detect_nonpositive_cycle",
     "energy_values",
     "energy_values_tw",
-    "highest_energy_node",
     "induced_subgraph",
     "load_graph",
     "mean_value",
@@ -95,12 +86,9 @@ __all__ = [
     "ratio_value",
     "ratio_values_all_nodes",
     "simplest_between",
-    "sssp_to_z_treedec",
     "tarjan_scc",
     "to_dimacs",
     "to_edgelist",
-    "triple_plus",
     "validate",
     "zero_energy_nodes",
-    "zero_energy_nodes_tw",
 ]

@@ -43,7 +43,7 @@ from .ratio import (
 from .treedec import build_decomposition, decomposition_to_text, validate
 
 EXIT_OK, EXIT_INPUT, EXIT_INTERNAL, EXIT_NO = 0, 1, 2, 3
-_STAT_PHASES = ("zero-test", "newton", "binary", "rational-refine", "decide", "sweep", "bisect")
+_STAT_PHASES = ("zero-test", "newton", "rational-refine", "decide", "sweep", "bisect")
 
 
 def _frac_text(v) -> str:
@@ -339,16 +339,27 @@ def _cmd_selftest(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
+
+
 def _add_common(p, algos=None, approx=False, decide_nargs=None):
     p.add_argument("file", help="graph file (dimacs-like, edge list, or dot)")
     if algos:
         p.add_argument("--algo", choices=algos, default=algos[0])
+    query = p.add_mutually_exclusive_group()
     if approx:
-        p.add_argument("--approx", metavar="EPS", help="approximate to relative error EPS in (0,1)")
+        query.add_argument("--approx", metavar="EPS", help="approximate to relative error EPS in (0,1)")
     if decide_nargs == 1:
-        p.add_argument("--decide", metavar="NU", help="decide value >= NU; exit 0 yes / 3 no")
+        query.add_argument("--decide", metavar="NU", help="decide value >= NU; exit 0 yes / 3 no")
     elif decide_nargs == 2:
-        p.add_argument(
+        query.add_argument(
             "--decide",
             nargs=2,
             metavar=("NODE", "CREDIT"),
@@ -402,14 +413,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("dir", help="directory of graph files")
     p.add_argument("--problem", choices=tuple(_PROBLEMS), default="mean")
     p.add_argument("--algos", default="tw,karp", help="comma-separated algorithm list")
-    p.add_argument("--reps", type=int, default=1)
+    p.add_argument("--reps", type=_positive_int, default=1)
     p.add_argument("--json", action="store_true")
     # tw rows build their trees like the per-node commands do by default
     p.set_defaults(func=_cmd_bench, heuristic="min-degree", validate=False, stats=False)
 
     p = sub.add_parser("selftest", help="differential checks on small seeded instances")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=25)
+    p.add_argument("--count", type=_positive_int, default=25)
     p.set_defaults(func=_cmd_selftest)
 
     return ap

@@ -26,21 +26,19 @@ class AugmentedGraph:
     """A mutable copy of g plus sink z = g.n with a 0-weight edge z->u per u.
 
     Parallel edges collapse to their minimum weight, which is the only one
-    shortest-walk or cycle-sign questions can use. With ``negate`` the copy
-    is of ``g.negated()``, made without building that graph.
+    shortest-walk or cycle-sign questions can use.
     """
 
     __slots__ = ("z", "weights", "out", "inc", "alive")
 
-    def __init__(self, g: WeightedDigraph, negate: bool = False):
+    def __init__(self, g: WeightedDigraph):
         self.z = g.n
         self.weights: dict[tuple[int, int], int] = {}
         self.out: list[set[int]] = [set() for _ in range(g.n + 1)]
         self.inc: list[set[int]] = [set() for _ in range(g.n + 1)]
         self.alive = [True] * (g.n + 1)
-        sign = -1 if negate else 1
         for e in g.edges:
-            self._set(e.src, e.dst, sign * e.wt)
+            self._set(e.src, e.dst, e.wt)
         for u in range(g.n):
             self._set(self.z, u, 0)
 

@@ -69,6 +69,12 @@ def gen_ktree(
     skeleton edge both ways (always strongly connected). A draw that leaves
     some node without an in-edge or an out-edge is rejected before any graph
     is built; the random numbers drawn are the same either way.
+
+    Few draws pass: each 2-tree leaf has only two skeleton edges to give it
+    an in-edge and an out-edge. Over 40 seeds of 2-trees the fallback was
+    taken 2 times at n=8, 37 times at n=20 and every time at each n from 30
+    to 2500. So an ensure_sc k-tree of that size is bidirected, and its
+    optimum cycle is a 2-cycle.
     """
     skel = ktree_skeleton(n, k, seed)
     rng = random.Random(seed + 1)

@@ -34,7 +34,7 @@ class InvariantError(RuntimeError):
     """An internal contract was violated; indicates a bug, not bad input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     src: int
     dst: int

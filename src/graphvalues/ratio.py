@@ -7,7 +7,7 @@ wt(C)/wt'(C) >= lam is equivalent to sum(q*wt(e) - p*wt'(e)) >= 0 over C, so
 one reweighted sweep decides nu* vs lam exactly (the sweep has exact sign
 even when its value is inexact).
 
-Packing. The exact value search sweeps with the packed edge weights
+Packing. Every search sweep (_RatioSearch.step) uses the packed edge weights
 (q*wt(e) - p*wt'(e)) * K + wt'(e), K = 2**(max_wt'.bit_length() + height + 3).
 Every map slot of the sweep then holds the packed sum c*K + s of one real
 walk, c its reweighted weight and s its wt' sum, and divmod(value, K) gives
@@ -38,12 +38,13 @@ lam0 = max over edges of wt/wt', which bounds every cycle ratio from above.
 
 Fallback. Newton gets at most _newton_cap steps, as many as the bisection
 below needs for the whole magnitude bound. Past the cap, the last swept lam
-(negative, so nu* < lam) and a strict lower bound bracket nu*; a binary
-search narrows the bracket to integer ends one apart, then it is bisected
-down to width < 1/D**2 with D = n * max(wt'), at which point at most one
-fraction with denominator <= D fits in the interval and a Stern-Brocot walk
-reconstructs it. All sweeps are counted in SearchStats by phase: zero-test,
-newton, binary, rational-refine.
+(negative, so nu* < lam) and a strict lower bound bracket nu*; the bracket
+is bisected down to width <= 1/D**2 with D = n * max(wt'), at which point at
+most one fraction with denominator <= D fits in the interval and a
+Stern-Brocot walk reconstructs it. The approximate mean bisects with the same
+loop, only to a coarser width. All sweeps are counted in SearchStats by
+phase: zero-test, newton, rational-refine for the value; decide; sweep and
+bisect for the approximation.
 """
 from __future__ import annotations
 
@@ -90,13 +91,8 @@ class _RatioSearch:
 
     def sign(self, nu: Fraction, phase: str):
         """cmp(nu*, nu): +1 / 0 / -1, or None when the graph is acyclic."""
-        p, q = nu.numerator, nu.denominator
-        w = [q * a - p * b for a, b in zip(self.wt, self.wtp)]
-        r = min_cycle(self.g, self.t, weights=w)
-        self.stats.record(phase, nu)
-        if r.value == INF:
-            return None
-        return (r.value > 0) - (r.value < 0)
+        found = self.step(nu, phase)
+        return None if found is None else (found[0] > 0) - (found[0] < 0)
 
     def step(self, lam: Fraction, phase: str):
         """One packed sweep at lam: None when the graph is acyclic, else
@@ -163,7 +159,7 @@ def _search_value(s: _RatioSearch) -> Fraction:
     steps = 0
     while c < 0:
         if steps == cap:
-            return _bisect(s, positive, lam)
+            return _refine(s, positive, lam)
         if not nxt < lam:
             raise InvariantError("a Newton step failed to lower the ratio value")
         lam = nxt
@@ -174,35 +170,32 @@ def _search_value(s: _RatioSearch) -> Fraction:
     return lam
 
 
-def _bisect(s: _RatioSearch, positive: bool, lam: Fraction) -> Fraction:
+def _bisect(s: _RatioSearch, lo: Fraction, hi: Fraction, width: Fraction, phase: str):
+    """Halve the bracket lo < nu* < hi until it is at most ``width`` wide.
+    Returns the bracket, or (nu*, nu*) once a midpoint sweep reads 0."""
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        sg = s.sign(mid, phase)
+        if sg == 0:
+            return mid, mid
+        if sg > 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _refine(s: _RatioSearch, positive: bool, lam: Fraction) -> Fraction:
     """nu* by bisection, given nu* < lam and the sign of nu*."""
     if positive:
         lo = Fraction(0)
     else:  # strictly below min wt/wt' <= nu*
         lo = Fraction(min(a // b for a, b in zip(s.wt, s.wtp)) - 1)
-    hi = Fraction(-(-lam.numerator // lam.denominator))  # ceil(lam) > nu*
-    # Binary search for the floor; invariant lo < nu* < hi throughout.
-    while hi - lo > 1:
-        mid = Fraction((lo + hi) // 2)
-        sg = s.sign(mid, "binary")
-        if sg == 0:
-            return mid
-        if sg > 0:
-            lo = mid
-        else:
-            hi = mid
-
-    # Bisect (floor, floor+1) until only one candidate denominator <= D fits.
-    d_bound = s.g.n * s.t_max
-    while (hi - lo) * d_bound * d_bound >= 1:
-        mid = (lo + hi) / 2
-        sg = s.sign(mid, "rational-refine")
-        if sg == 0:
-            return mid
-        if sg > 0:
-            lo = mid
-        else:
-            hi = mid
+    # Two fractions with denominators <= D differ by at least 1/D**2, so at
+    # most one fits strictly inside a bracket that narrow.
+    lo, hi = _bisect(s, lo, lam, Fraction(1, (s.g.n * s.t_max) ** 2), "rational-refine")
+    if lo == hi:
+        return lo
     cand = simplest_between(lo, hi)
     if s.sign(cand, "rational-refine") != 0:
         raise InvariantError("rational reconstruction missed the ratio value")
@@ -289,7 +282,7 @@ def approx_mean(
 ) -> tuple[Fraction, SearchStats]:
     """Mean value within relative error eps in O(log(n/eps)) decision sweeps.
 
-    One plain sweep classifies the sign of the value. A nonnegative sweep
+    One sweep at 0 classifies the sign of the value. A nonnegative sweep
     value c is bisected directly on [0, c]. For a negative c the weights are
     shifted by |c| (making every cycle mean nonnegative), the precision is
     tightened by the sweep's worst-case undershoot factor alpha, and the
@@ -300,43 +293,28 @@ def approx_mean(
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
-    if t is None:
-        t = build_decomposition(g)
     s = _RatioSearch(g, t, stats, unit_wtp=True)
-    base = min_cycle(g, t)
-    s.stats.record("sweep", Fraction(0))
-    if base.value == INF:
+    found = s.step(Fraction(0), "sweep")
+    if found is None:
         raise ValueError("graph has no cycle; mean value undefined")
-    if base.value == 0:
+    c = found[0]
+    if c == 0:
         return Fraction(0), s.stats
 
-    if base.value > 0:
-        lo, hi = Fraction(0), Fraction(base.value)
-        shift = Fraction(0)
-        eps_eff = eps
-    else:
+    shift, eps_eff = Fraction(0), eps
+    if c < 0:
         # Tightening eps by alpha = 1 + n*m*2^h covers the sweep's
         # worst-case undershoot |c| <= |c*| * m * 2^h and |c*| <= n * |mu*|.
-        alpha = 1 + g.n * base.blowup_bound(g.m)
+        alpha = 1 + g.n * max(1, g.m) * 2**s.t.height
         eps_eff = eps / alpha
-        shift = Fraction(-base.value)
-        s.wt = [a - base.value for a in s.wt]
-        shifted = min_cycle(g, t, weights=s.wt)
-        s.stats.record("sweep", Fraction(0))
-        if shifted.value == INF or shifted.value < 0:
+        shift = Fraction(-c)
+        s.wt = [a - c for a in s.wt]
+        c = s.step(Fraction(0), "sweep")[0]
+        if c < 0:
             raise InvariantError("weight shift failed to clear negative cycles")
-        if shifted.value == 0:
+        if c == 0:
             return -shift, s.stats
-        lo, hi = Fraction(0), Fraction(shifted.value)
 
-    floor_bound = Fraction(hi, g.n)  # shifted value >= c/n since |C| <= n
-    while hi - lo > eps_eff * floor_bound:
-        mid = (lo + hi) / 2
-        sg = s.sign(mid, "bisect")
-        if sg == 0:
-            return mid - shift, s.stats
-        if sg > 0:
-            lo = mid
-        else:
-            hi = mid
+    # shifted value >= c/n since |C| <= n
+    _, hi = _bisect(s, Fraction(0), Fraction(c), eps_eff * Fraction(c, g.n), "bisect")
     return hi - shift, s.stats

@@ -210,6 +210,22 @@ def test_usage_error_maps_to_input_exit(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [["bench", ".", "--reps", "0"], ["selftest", "--count", "0"],
+                                  ["selftest", "--count=-1"], ["selftest", "--count", "x"]])
+def test_counts_below_one_are_input_errors(capsys, argv):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "expected a positive integer" in err
+
+
+def test_decide_and_approx_are_mutually_exclusive(gadget_file, capsys):
+    assert main(["mean", gadget_file, "--decide", "0", "--approx", "1/10"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "not allowed with argument" in err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

@@ -193,7 +193,7 @@ def test_five_chain_values_tw(five_chain):
 
 def _replayed(g: WeightedDigraph, xs: list[int], negate: bool = False) -> AugmentedGraph:
     """The final graph of the general algorithm's kill rule, run on xs in order."""
-    ag = AugmentedGraph(g, negate)
+    ag = AugmentedGraph(g.negated() if negate else g)
     for w in xs:
         ag.kill(w)
     return ag

@@ -110,7 +110,7 @@ def test_stats_accumulate_and_phase_names():
     mean_value(g, stats=stats)
     assert stats.decisions == len(stats.probes)
     assert stats.count("zero-test") == 1
-    known = {"zero-test", "newton", "binary", "rational-refine"}
+    known = {"zero-test", "newton", "rational-refine"}
     assert {p for p, _ in stats.probes} <= known
     before = stats.decisions
     mean_value(g, stats=stats)  # shared stats keep accumulating
@@ -184,7 +184,7 @@ def test_forced_fallback_stays_exact_and_within_budget(monkeypatch, cap):
             assert val == want(cycles), (seed, solve.__name__)
             assert _within_criterion_7(val, stats), (seed, solve.__name__, stats.decisions)
             assert stats.count("newton") <= cap + 1
-            fell_back += stats.count("binary") + stats.count("rational-refine") > 0
+            fell_back += stats.count("rational-refine") > 0
     assert fell_back >= 50
 
 
@@ -239,6 +239,42 @@ def test_newton_never_records_exponential():
             assert stats.count("zero-test") == 1
             phases |= {p for p, _ in stats.probes}
     assert phases == {"zero-test", "newton"}
+
+
+# case -> (solve(g, t, stats), the phases it records over the corpus)
+_SWEEP_COUNTED = {
+    "mean": (mean_value, {"zero-test", "newton"}),
+    "ratio": (ratio_value, {"zero-test", "newton"}),
+    "fallback": (ratio_value, {"zero-test", "newton", "rational-refine"}),
+    "decide": (lambda g, t, stats: decide_mean_geq(g, t, Fraction(-1, 3), stats), {"decide"}),
+    "approx": (lambda g, t, stats: approx_mean(g, t, Fraction(1, 10), stats), {"sweep", "bisect"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SWEEP_COUNTED))
+def test_each_decision_is_one_min_cycle_call(monkeypatch, case):
+    # The bench's mincycle.sweeps counter wraps ratio.min_cycle, so it
+    # matches SearchStats only if every recorded decision is one such call.
+    calls = []
+    real = ratio.min_cycle
+
+    def counting(g, t=None, weights=None):
+        calls.append(g)
+        return real(g, t, weights=weights)
+
+    monkeypatch.setattr(ratio, "min_cycle", counting)
+    if case == "fallback":
+        monkeypatch.setattr(ratio, "_newton_cap", lambda n, w_max, t_max: 0)
+    solve, want = _SWEEP_COUNTED[case]
+    phases = set()
+    for seed in range(20):
+        g = sc_ktree(seed)
+        stats = SearchStats()
+        calls.clear()
+        solve(g, build_decomposition(g), stats)
+        assert len(calls) == stats.decisions > 0, (case, seed)
+        phases |= {p for p, _ in stats.probes}
+    assert phases == want
 
 
 # -- decision procedures ---------------------------------------------------------------
