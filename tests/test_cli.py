@@ -172,6 +172,24 @@ def test_gen_rejects_bad_k(capsys):
     assert "k" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ktree", "1", "2"],
+        ["ktree", "30", "2"],
+        ["sparse-random", "1"],
+        ["sparse-random", "12"],
+        ["cfg-like", "1"],
+        ["cfg-like", "25"],
+    ],
+)
+def test_gen_refuses_an_empty_weight_range(argv, capsys):
+    assert main(["gen", *argv, "--wt-min", "5", "--wt-max", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "empty weight range wt=(5, 2)" in captured.err
+
+
 def test_gen_cfg_like(capsys):
     assert main(["gen", "cfg-like", "25", "--seed", "2"]) == 0
     assert capsys.readouterr().out.startswith("p mrc 25 ")
