@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .energy import decide_initial_credit, energy_values
+from .energy import energy_values
 from .energy_tw import TwStats, energy_values_tw
 from .generate import generate
 from .graph import INF, InvariantError, load_graph, to_dimacs
@@ -157,6 +157,10 @@ class _Trees:
 
 def _cmd_values(args, problem: str) -> int:
     """Per-node values of ``problem`` by --algo, or the --decide / --approx answer."""
+    approx = args.approx if problem == "mean" else None
+    query = args.decide is not None or approx is not None
+    if query and problem != "energy" and args.algo != "tw":
+        raise ValueError(f"--decide and --approx run on --algo tw only, not {args.algo}")
     g = load_graph(args.file)
     trees = _Trees(args)
     spec = _PROBLEMS[problem]
@@ -166,21 +170,23 @@ def _cmd_values(args, problem: str) -> int:
             label, credit_text = args.decide
             u = g.label_id(label)
             credit = int(credit_text)
-            ans = decide_initial_credit(g, u, credit)
+            if credit < 0:
+                raise ValueError("credit must be >= 0 in the standard convention")
+            ans = spec.algos[args.algo](g, trees, stats)[u] <= credit
             asked = {"node": label, "credit": credit}
         else:
             nu = Fraction(args.decide)
             decide = decide_ratio_geq if problem == "ratio" else decide_mean_geq
             ans = decide(g, trees(g), nu, stats)
-            trees.report(g, spec.stat_line(stats))
             asked = {"decide": _frac_text(nu)}
+        trees.report(g, spec.stat_line(stats) if args.algo == "tw" else "")
         if args.json:
             _emit_json({"problem": problem, **asked, "answer": ans})
         else:
             print("yes" if ans else "no")
         return EXIT_OK if ans else EXIT_NO
-    if problem == "mean" and args.approx is not None:
-        eps = Fraction(args.approx)
+    if approx is not None:
+        eps = Fraction(approx)
         value, stats = approx_mean(g, trees(g), eps)
         trees.report(g, spec.stat_line(stats))
         if args.json:

@@ -37,8 +37,8 @@ class AugmentedGraph:
         self.out: list[set[int]] = [set() for _ in range(g.n + 1)]
         self.inc: list[set[int]] = [set() for _ in range(g.n + 1)]
         self.alive = [True] * (g.n + 1)
-        for e in g.edges:
-            self._set(e.src, e.dst, e.wt)
+        for u, v, w in zip(g.src, g.dst, g.wt):
+            self._set(u, v, w)
         for u in range(g.n):
             self._set(self.z, u, 0)
 
@@ -141,7 +141,7 @@ def detect_nonpositive_cycle(g) -> list[int] | None:
         edges = [(u, v, w) for (u, v), w in g.edges_alive()]
     else:
         n_ids = g.n
-        edges = [(e.src, e.dst, e.wt) for e in g.edges]
+        edges = list(zip(g.src, g.dst, g.wt))
     return _nonpositive_cycle_edges(n_ids, edges)
 
 
@@ -235,22 +235,20 @@ def decision_energy(g: WeightedDigraph, u: int, credit) -> bool:
     d = {u: credit}
     for _ in range(max(0, g.n - 1)):
         changed = False
-        for e in g.edges:
-            du = d.get(e.src)
-            if du is None:
+        for a, b, w in zip(g.src, g.dst, g.wt):
+            da = d.get(a)
+            if da is None:
                 continue
-            cand = du + e.wt
-            if cand <= 0 and cand < d.get(e.dst, 1):
-                d[e.dst] = cand
+            cand = da + w
+            if cand <= 0 and cand < d.get(b, 1):
+                d[b] = cand
                 changed = True
         if not changed:
             break
     keep = sorted(d)
     index = {x: i for i, x in enumerate(keep)}
     edges = [
-        (index[e.src], index[e.dst], e.wt)
-        for e in g.edges
-        if e.src in index and e.dst in index
+        (index[a], index[b], w) for a, b, w in zip(g.src, g.dst, g.wt) if a in index and b in index
     ]
     return _nonpositive_cycle_edges(len(keep), edges) is not None
 

@@ -120,9 +120,9 @@ class _TwState:
         self.rows: list = [None] * nb
         self.fold: list[dict] = [{} for _ in range(nb)]
         fold, bags, level, root_bag_of = self.fold, t.bags, t.level, t.root_bag_of
-        for e in g.edges:
+        for u, v, w in zip(g.src, g.dst, g.wt):
             # fold_bag_of_edge and the lift of a real edge, inline
-            u, v, f = e.src, e.dst, sign * e.wt
+            f = sign * w
             bu, bv = root_bag_of[u], root_bag_of[v]
             b = bu if level[bu] >= level[bv] else bv
             bag = bags[b]
@@ -203,7 +203,7 @@ class _TwState:
         takes the lighter of its old weight and the weight of (x, w).
         """
         g, t, stride, z, alive, to_z = self.g, self.t, self.stride, self.z, self.alive, self.to_z
-        edges, fold, level, root_bag_of = g.edges, self.fold, t.level, t.root_bag_of
+        src, dst, fold, level, root_bag_of = g.src, g.dst, self.fold, t.level, t.root_bag_of
         bw = root_bag_of[w]
         lw = level[bw]
         del fold[bw][z * stride + w]
@@ -212,7 +212,7 @@ class _TwState:
             del fold[bw][w * stride + z]
         wbase = w * stride
         for i in g.out[w]:
-            y = edges[i].dst
+            y = dst[i]
             if alive[y]:  # the self-loop too: w is still alive
                 by = root_bag_of[y]
                 b = bw if lw >= level[by] else by
@@ -220,7 +220,7 @@ class _TwState:
                 touched.add(b)
         alive[w] = False
         for i in g.inc[w]:
-            x = edges[i].src
+            x = src[i]
             if alive[x]:
                 bx = root_bag_of[x]
                 b = bx if level[bx] >= lw else bw

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from operator import itemgetter
 
-from .graph import Edge, WeightedDigraph, tarjan_scc
+from .graph import WeightedDigraph, tarjan_scc
 
 
 def _weight_range(name: str, rng_range: tuple[int, int]) -> tuple[int, int, int]:
@@ -127,14 +127,14 @@ def gen_ktree(
                 append((v, u, lo + w, lop + _below(getrandbits, widthp, bitsp)))
         if ensure_sc and n > 1 and not _every_node_enters_and_leaves(n, raw):
             continue  # cannot be strongly connected; skip building it
-        g = WeightedDigraph(n, [Edge(*e) for e in raw])
+        g = WeightedDigraph(n, raw)
         if not ensure_sc or _is_strongly_connected(g):
             return g
     edges = []
     for (u, v) in skel:
         for a, b in ((u, v), (v, u)):
             w = _below(getrandbits, width, bits)
-            edges.append(Edge(a, b, lo + w, lop + _below(getrandbits, widthp, bitsp)))
+            edges.append((a, b, lo + w, lop + _below(getrandbits, widthp, bitsp)))
     return WeightedDigraph(n, edges)
 
 
@@ -154,7 +154,7 @@ def gen_sparse_random(
     nbits = n.bit_length()
     target = min(avg_degree * n, n * (n - 1))
     pairs: set[tuple[int, int]] = set()
-    edges: list[Edge] = []
+    edges: list[tuple[int, int, int, int]] = []
     attempts = 0
     while len(edges) < target and attempts < 50 * target + 100:
         attempts += 1
@@ -164,7 +164,7 @@ def gen_sparse_random(
             continue
         pairs.add((u, v))
         w = _below(getrandbits, width, bits)
-        edges.append(Edge(u, v, lo + w, lop + _below(getrandbits, widthp, bitsp)))
+        edges.append((u, v, lo + w, lop + _below(getrandbits, widthp, bitsp)))
     return WeightedDigraph(n, edges)
 
 
@@ -182,14 +182,14 @@ def gen_cfg_like(
     rng = random.Random(seed)
     rand, getrandbits = rng.random, rng.getrandbits
     pairs: set[tuple[int, int]] = set()
-    edges: list[Edge] = []
+    edges: list[tuple[int, int, int, int]] = []
 
     def add(u: int, v: int) -> None:
         if u != v and (u, v) not in pairs:
             pairs.add((u, v))
             w = lo + _below(getrandbits, width, bits)
             _below(getrandbits, 1, 1)  # the unit wt', drawn to keep the stream
-            edges.append(Edge(u, v, w))
+            edges.append((u, v, w, 1))
 
     for i in range(n - 1):
         add(i, i + 1)

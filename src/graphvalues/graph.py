@@ -5,6 +5,12 @@ Every graph carries two integer weights per edge: the primary weight ``wt``
 positive (it is the denominator weight of ratio objectives; plain mean
 problems simply leave it at 1).
 
+Edge i is (src[i], dst[i], wt[i], wtp[i]), four parallel plain lists (weights
+may be bigints) that solvers index or zip and never write; out[u] and inc[v]
+list edge indices, and edge_index maps each (src, dst) pair to its index.
+:class:`Edge` is only an input record: the constructor takes Edges or plain
+(src, dst, wt, wtp) tuples alike and keeps neither.
+
 Node ids are dense ints ``0..n-1``. Original input names are kept in
 ``labels`` so command-line output can echo them back.
 """
@@ -13,7 +19,7 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 INF = float("inf")
 
@@ -34,8 +40,9 @@ class InvariantError(RuntimeError):
     """An internal contract was violated; indicates a bug, not bad input."""
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
+class Edge(NamedTuple):
+    """One input edge of the constructor; a plain 4-tuple is the same input."""
+
     src: int
     dst: int
     wt: int
@@ -49,26 +56,26 @@ class WeightedDigraph:
     without outgoing edges are allowed.
     """
 
-    __slots__ = ("n", "edges", "labels", "out", "inc", "edge_index")
+    __slots__ = ("n", "src", "dst", "wt", "wtp", "labels", "out", "inc", "edge_index")
 
-    def __init__(self, n: int, edges: Sequence[Edge], labels: Sequence[str] | None = None):
+    def __init__(self, n: int, edges: Iterable[tuple], labels: Sequence[str] | None = None):
         if labels is None:
             labels = [str(i) for i in range(n)]
         if len(labels) != n:
             raise ValueError(f"{len(labels)} labels for {n} nodes")
         self.n = n
-        self.edges = list(edges)
         self.labels = list(labels)
-        self.out: list[list[int]] = [[] for _ in range(n)]
-        self.inc: list[list[int]] = [[] for _ in range(n)]
-        self.edge_index: dict[tuple[int, int], int] = {}
-        out, inc, index = self.out, self.inc, self.edge_index
-        for i, e in enumerate(self.edges):
-            u, v = key = e.src, e.dst
+        src, dst, wt, wtp = [list(c) for c in zip(*edges, strict=True)] or [[], [], [], []]
+        self.src, self.dst, self.wt, self.wtp = src, dst, wt, wtp
+        self.out = out = [[] for _ in range(n)]
+        self.inc = inc = [[] for _ in range(n)]
+        self.edge_index = index = {}
+        for i, key in enumerate(zip(src, dst)):
+            u, v = key
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if e.wtp < 1:
-                raise ValueError(f"edge ({u},{v}) has non-positive wtp={e.wtp}")
+            if wtp[i] < 1:
+                raise ValueError(f"edge ({u},{v}) has non-positive wtp={wtp[i]}")
             if key in index:
                 raise ValueError(f"duplicate edge ({u},{v})")
             index[key] = i
@@ -89,42 +96,33 @@ class WeightedDigraph:
         Duplicate (src, dst) pairs keep the smallest (wt, wtp) entry and emit
         a warning; edge order otherwise follows first appearance.
         """
-        best: dict[tuple[int, int], tuple[int, int]] = {}  # in first-appearance order
-        dups = 0
-        for t in raw:
-            if len(t) == 3:
-                u, v, w = t
-                wp = 1
-            else:
-                u, v, w, wp = t
-            key = (u, v)
-            old = best.get(key)
-            if old is None:
-                best[key] = (w, wp)
-            else:
-                dups += 1
-                if (w, wp) < old:
-                    best[key] = (w, wp)
-        if dups:
+        rows = [t if len(t) == 4 else (*t, 1) for t in raw]
+        kept: dict[tuple[int, int], tuple] = {}  # in first-appearance order
+        for row in rows:
+            key = row[:2]
+            old = kept.get(key)
+            if old is None or row[2:] < old[2:]:
+                kept[key] = row
+        if len(kept) < len(rows):
+            dups = len(rows) - len(kept)
             warnings.warn(f"{dups} duplicate edge(s) dropped, keeping minimum weight", stacklevel=2)
-        edges = [Edge(u, v, w, wp) for (u, v), (w, wp) in best.items()]
-        return cls(n, edges, labels)
+        return cls(n, kept.values(), labels)
 
     def negated(self) -> "WeightedDigraph":
         """Copy with every primary weight negated (wtp and labels kept)."""
         return WeightedDigraph(
-            self.n, [Edge(e.src, e.dst, -e.wt, e.wtp) for e in self.edges], self.labels
+            self.n, zip(self.src, self.dst, [-w for w in self.wt], self.wtp), self.labels
         )
 
     # -- simple accessors -----------------------------------------------------
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.src)
 
     def max_abs_weight(self) -> int:
         """W = max |wt| over edges (0 for an edgeless graph)."""
-        return max((abs(e.wt) for e in self.edges), default=0)
+        return max(map(abs, self.wt), default=0)
 
     def label_id(self, label: str) -> int:
         try:
@@ -144,8 +142,9 @@ def induced_subgraph(g: WeightedDigraph, nodes: Sequence[int]) -> tuple[Weighted
     old_ids = list(nodes)
     new_id = {u: i for i, u in enumerate(old_ids)}
     # Only the nodes' own out-edges, put back in g's edge order.
-    kept = sorted(i for u in new_id for i in g.out[u] if g.edges[i].dst in new_id)
-    edges = [Edge(new_id[e.src], new_id[e.dst], e.wt, e.wtp) for e in (g.edges[i] for i in kept)]
+    src, dst, wt, wtp = g.src, g.dst, g.wt, g.wtp
+    kept = sorted(i for u in new_id for i in g.out[u] if dst[i] in new_id)
+    edges = [(new_id[src[i]], new_id[dst[i]], wt[i], wtp[i]) for i in kept]
     labels = [g.labels[u] for u in old_ids]
     return WeightedDigraph(len(old_ids), edges, labels), old_ids
 
@@ -176,6 +175,7 @@ def tarjan_scc(g: WeightedDigraph) -> SccPartition:
     comp_of = [-1] * n
     components: list[list[int]] = []
     counter = 0
+    dst = g.dst
 
     for root in range(n):
         if index[root] != -1:
@@ -192,7 +192,7 @@ def tarjan_scc(g: WeightedDigraph) -> SccPartition:
             recurse = False
             out = g.out[v]
             while pi < len(out):
-                w = g.edges[out[pi]].dst
+                w = dst[out[pi]]
                 pi += 1
                 if index[w] == -1:
                     work.append((v, pi))
@@ -219,11 +219,8 @@ def tarjan_scc(g: WeightedDigraph) -> SccPartition:
                 if low[v] < low[parent]:
                     low[parent] = low[v]
 
-    condensation = set()
-    for e in g.edges:
-        a, b = comp_of[e.src], comp_of[e.dst]
-        if a != b:
-            condensation.add((a, b))
+    of = comp_of.__getitem__
+    condensation = {(a, b) for a, b in zip(map(of, g.src), map(of, dst)) if a != b}
     return SccPartition(comp_of, components, condensation)
 
 
@@ -317,7 +314,7 @@ def _parse_dimacs(text: str) -> WeightedDigraph:
                 raise ParseError(f"node id out of range 1..{n}", ln)
             if wp < 1:
                 raise ParseError(f"secondary weight must be >= 1, got {wp}", ln)
-            raw.append((u - 1, v - 1, w, wp))
+            raw.append((node[u - 1], node[v - 1], w, wp))
         elif parts[0] == "p":
             if n is not None:
                 raise ParseError("second problem line", ln)
@@ -329,6 +326,7 @@ def _parse_dimacs(text: str) -> WeightedDigraph:
                 raise ParseError("negative size in problem line", ln)
             if n > DIMACS_MAX_NODES:
                 raise ParseError(f"node count {n} exceeds the limit of {DIMACS_MAX_NODES}", ln)
+            node = list(range(n))  # one int object per node, shared by all its edges
         else:
             raise ParseError(f"unknown line type {parts[0]!r}", ln)
     if n is None:
@@ -402,13 +400,12 @@ def _parse_dot(text: str) -> WeightedDigraph:
 
 def to_dimacs(g: WeightedDigraph) -> str:
     lines = [f"p mrc {g.n} {g.m}"]
-    for e in g.edges:
-        lines.append(f"a {e.src + 1} {e.dst + 1} {e.wt} {e.wtp}")
+    lines += [f"a {u + 1} {v + 1} {w} {wp}" for u, v, w, wp in zip(g.src, g.dst, g.wt, g.wtp)]
     return "\n".join(lines) + "\n"
 
 
 def to_edgelist(g: WeightedDigraph) -> str:
-    lines = [f"{e.src} {e.dst} {e.wt} {e.wtp}" for e in g.edges]
+    lines = [f"{u} {v} {w} {wp}" for u, v, w, wp in zip(g.src, g.dst, g.wt, g.wtp)]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -264,6 +264,5 @@ def min_cycle(
     plan = t.sweep_plan
     if plan is None or plan.graph is not g:
         plan = t.sweep_plan = SweepPlan(g, t)
-    wt = weights if weights is not None else [e.wt for e in g.edges]
-    best, walks = plan.run(t, wt)
+    best, walks = plan.run(t, g.wt if weights is None else weights)
     return MinCycleResult(best, plan.height, plan.peak_maps, best >= 0, walks)

@@ -50,7 +50,7 @@ def enumerate_cycles(g: WeightedDigraph, cap: int = 10**6) -> list[CycleRecord]:
     raises OracleTooBigError past ``cap`` cycles.
     """
     found: list[CycleRecord] = []
-    adj = [[(g.edges[i].dst, g.edges[i].wt, g.edges[i].wtp) for i in g.out[u]] for u in range(g.n)]
+    adj = [[(g.dst[i], g.wt[i], g.wtp[i]) for i in out] for out in g.out]
     on_path = [False] * g.n
     for s in range(g.n):
         on_path[s] = True
@@ -110,13 +110,13 @@ def karp_mean(g: WeightedDigraph) -> Fraction:
     D[0][0] = 0
     for k in range(1, n + 1):
         prev, cur = D[k - 1], D[k]
-        for e in g.edges:
-            du = prev[e.src]
+        for u, v, w in zip(g.src, g.dst, g.wt):
+            du = prev[u]
             if du is None:
                 continue
-            cand = du + e.wt
-            if cur[e.dst] is None or cand < cur[e.dst]:
-                cur[e.dst] = cand
+            cand = du + w
+            if cur[v] is None or cand < cur[v]:
+                cur[v] = cand
     best = None
     for v in range(n):
         dn = D[n][v]
@@ -155,9 +155,8 @@ def energy_fixpoint(g: WeightedDigraph) -> list:
                 continue
             best = INF
             for i in g.out[u]:
-                e = g.edges[i]
-                fv = f[e.dst]
-                cand = INF if fv == INF else max(0, fv - e.wt)
+                fv = f[g.dst[i]]
+                cand = INF if fv == INF else max(0, fv - g.wt[i])
                 if cand < best:
                     best = cand
             if best != INF and best > clamp:

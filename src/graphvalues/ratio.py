@@ -84,8 +84,8 @@ class _RatioSearch:
         self.g = g
         self.t = t if t is not None else build_decomposition(g)
         self.stats = stats if stats is not None else SearchStats()
-        self.wt = [e.wt for e in g.edges]
-        self.wtp = [1] * g.m if unit_wtp else [e.wtp for e in g.edges]
+        self.wt = g.wt  # approx_mean rebinds it, never edits it
+        self.wtp = [1] * g.m if unit_wtp else g.wtp
         self.t_max = max(self.wtp, default=1)
         self.pack = 2 ** (self.t_max.bit_length() + self.t.height + 3)
 

@@ -144,8 +144,7 @@ def validate(t: TreeDecomposition, g: WeightedDigraph, normalized: bool = True):
     for u in range(n):
         if not node_bags[u]:
             return Violation("coverage", f"node {u} appears in no bag")
-    for e in g.edges:
-        a, b = e.src, e.dst
+    for a, b in zip(g.src, g.dst):
         small, other = (a, b) if len(node_bags[a]) <= len(node_bags[b]) else (b, a)
         if not any(other in t.bags[bid] for bid in node_bags[small]):
             return Violation("edge-coverage", f"edge ({a},{b}) not inside any bag")
@@ -178,10 +177,10 @@ def validate(t: TreeDecomposition, g: WeightedDigraph, normalized: bool = True):
 
 def _skeleton(g: WeightedDigraph) -> list[set[int]]:
     adj: list[set[int]] = [set() for _ in range(g.n)]
-    for e in g.edges:
-        if e.src != e.dst:
-            adj[e.src].add(e.dst)
-            adj[e.dst].add(e.src)
+    for u, v in zip(g.src, g.dst):
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
     return adj
 
 
@@ -407,8 +406,8 @@ def fold_bag_of_edge(t: TreeDecomposition, u: int, v: int) -> int:
 def edge_fold_table(g: WeightedDigraph, t: TreeDecomposition) -> list[list[tuple[int, int, int]]]:
     """Per-bag list of (u, v, edge_index) folded at that bag."""
     table: list[list[tuple[int, int, int]]] = [[] for _ in t.bags]
-    for i, e in enumerate(g.edges):
-        table[fold_bag_of_edge(t, e.src, e.dst)].append((e.src, e.dst, i))
+    for i, (u, v) in enumerate(zip(g.src, g.dst)):
+        table[fold_bag_of_edge(t, u, v)].append((u, v, i))
     return table
 
 

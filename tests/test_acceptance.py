@@ -198,9 +198,9 @@ def test_criterion_8_scaling_smoke():
 
 def _connected_avoiding(g: WeightedDigraph, a: int, b: int, banned: frozenset) -> bool:
     adj = [set() for _ in range(g.n)]
-    for e in g.edges:
-        adj[e.src].add(e.dst)
-        adj[e.dst].add(e.src)
+    for u, v in zip(g.src, g.dst):
+        adj[u].add(v)
+        adj[v].add(u)
     seen, q = {a}, deque([a])
     while q:
         x = q.popleft()

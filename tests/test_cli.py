@@ -9,9 +9,17 @@ import pytest
 
 from graphvalues import cli, treedec
 from graphvalues.cli import main
+from graphvalues.energy import decide_initial_credit
 from graphvalues.energy_tw import TwStats, energy_values_tw
-from graphvalues.generate import gen_ktree, gen_sparse_random
-from graphvalues.graph import DIMACS_MAX_NODES, WeightedDigraph, component_has_cycle, tarjan_scc, to_dimacs
+from graphvalues.generate import gen_cfg_like, gen_ktree, gen_sparse_random
+from graphvalues.graph import (
+    DIMACS_MAX_NODES,
+    INF,
+    WeightedDigraph,
+    component_has_cycle,
+    tarjan_scc,
+    to_dimacs,
+)
 from graphvalues.oracles import KARP_MAX_CELLS
 
 
@@ -27,8 +35,8 @@ def energy_file(tmp_path, five_chain):
     # dot keeps node names, so --decide can address nodes by label
     neg = five_chain.negated()
     stmts = "".join(
-        f"  {neg.labels[e.src]} -> {neg.labels[e.dst]} [label={e.wt}];\n"
-        for e in neg.edges
+        f"  {neg.labels[u]} -> {neg.labels[v]} [label={w}];\n"
+        for u, v, w in zip(neg.src, neg.dst, neg.wt)
     )
     p = tmp_path / "chain.dot"
     p.write_text("digraph {\n" + stmts + "}\n")
@@ -535,3 +543,75 @@ def test_bench_builds_each_tw_tree_inside_its_row(tmp_path, monkeypatch, capsys,
         assert row["width"] == (max(t.width for t in mine) if mine else "-")
         assert row["height"] == (max(t.height for t in mine) if mine else "-")
     assert next(built, None) is None
+
+
+# -- queries answer from the selected algorithm -----------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_energy_decide_agrees_with_guarded_relaxation_under_every_algo(tmp_path, capsys, seed):
+    graphs = (
+        gen_ktree(9, 2, seed=seed, wt=(-4, 3), ensure_sc=False),
+        gen_sparse_random(8, 2, seed=seed, wt=(-3, 3)),
+        gen_cfg_like(10, seed=seed, wt=(-4, 2)),
+    )
+    finite = infinite = 0
+    answers = set()
+    for gi, g in enumerate(graphs):
+        p = tmp_path / f"g{gi}.gr"
+        p.write_text(to_dimacs(g))
+        for u, e in enumerate(energy_values_tw(g)):
+            if e == INF:
+                infinite += 1
+                credits = [g.n * g.max_abs_weight() + 1]
+            else:
+                finite += 1
+                credits = [e - 1, e, e + 1]
+            for credit in credits:
+                argv = ["energy", str(p), "--decide", str(u + 1), str(credit)]  # DIMACS ids
+                if credit < 0:
+                    with pytest.raises(ValueError):
+                        decide_initial_credit(g, u, credit)
+                    want = 1
+                else:
+                    want = 0 if decide_initial_credit(g, u, credit) else 3
+                answers.add(want)
+                for algo in ("tw", "general", "oracle"):
+                    assert main(argv + ["--algo", algo]) == want, (seed, gi, u, credit, algo)
+    capsys.readouterr()
+    assert finite and infinite and answers == {0, 1, 3}
+
+
+def test_energy_decide_builds_validates_and_reports(energy_file, builds, capsys):
+    assert main(["energy", energy_file, "--decide", "w", "3", "--stats", "--validate"]) == 0
+    out, err = capsys.readouterr()
+    assert out.strip() == "yes" and len(builds) == 1
+    assert _stat(err, "builds") == 1 and _stat(err, "kills") >= 0
+    assert main(["energy", energy_file, "--decide", "w", "2", "--algo", "general", "--stats"]) == 3
+    out, err = capsys.readouterr()
+    assert out.strip() == "no" and len(builds) == 1
+    assert _stat(err, "builds") == 0 and "kills=" not in err
+
+
+def test_energy_decide_refuses_a_negative_credit(energy_file, capsys):
+    for algo in ("tw", "general", "oracle"):
+        assert main(["energy", energy_file, "--decide", "w", "-1", "--algo", algo]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "credit must be >= 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mean", "--approx", "1/2", "--algo", "karp"],
+        ["mean", "--approx", "1/2", "--algo", "oracle"],
+        ["mean", "--decide", "0", "--algo", "karp"],
+        ["mean", "--decide", "0", "--algo", "oracle"],
+        ["ratio", "--decide", "0", "--algo", "oracle"],
+    ],
+)
+def test_mean_and_ratio_queries_refuse_another_algo(gadget_file, capsys, argv):
+    assert main([argv[0], gadget_file, *argv[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--algo tw only" in err

@@ -123,7 +123,7 @@ def test_detection_presence_matches_enumeration():
         if cyc is not None:
             hits += 1
             assert cyc[0] == cyc[-1]
-            wts = {(e.src, e.dst): e.wt for e in g.edges}
+            wts = dict(zip(zip(g.src, g.dst), g.wt))
             assert sum(wts[(cyc[i], cyc[i + 1])] for i in range(len(cyc) - 1)) <= 0
     assert hits > 30
 

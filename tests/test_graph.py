@@ -24,6 +24,10 @@ from graphvalues.graph import (
 )
 
 
+def _rows(g: WeightedDigraph) -> list[tuple[int, int, int, int]]:
+    return list(zip(g.src, g.dst, g.wt, g.wtp))
+
+
 def test_edge_validation():
     with pytest.raises(ValueError, match="out of range"):
         WeightedDigraph(2, [Edge(0, 2, 1)])
@@ -41,7 +45,7 @@ def test_from_edges_dedups_keeping_minimum():
     with pytest.warns(UserWarning):
         g = WeightedDigraph.from_edges(2, [(0, 1, 5), (0, 1, 2), (0, 1, 7)])
     assert g.m == 1
-    assert g.edges[0].wt == 2
+    assert g.wt[0] == 2
 
 
 def test_basic_accessors(five_chain):
@@ -51,47 +55,45 @@ def test_basic_accessors(five_chain):
     assert g.label_id("w") == 2
     with pytest.raises(KeyError):
         g.label_id("nope")
-    assert [e.dst for e in g.edges if e.src == 1] == [2]
-    assert [g.edges[i].dst for i in g.out[1]] == [2]
-    assert sorted(g.edges[i].src for i in g.inc[1]) == [0, 4]
-    assert g.edges[g.edge_index[(2, 3)]].wt == 3
+    assert [v for u, v in zip(g.src, g.dst) if u == 1] == [2]
+    assert [g.dst[i] for i in g.out[1]] == [2]
+    assert sorted(g.src[i] for i in g.inc[1]) == [0, 4]
+    assert g.wt[g.edge_index[(2, 3)]] == 3
 
 
 def test_negated_and_unit_wtp(ratio_pair):
     neg = ratio_pair.negated()
-    assert [e.wt for e in neg.edges] == [-1, -2]
-    assert [e.wtp for e in neg.edges] == [1, 1]
+    assert neg.wt == [-1, -2]
+    assert neg.wtp == [1, 1]
     # originals untouched
-    assert [e.wt for e in ratio_pair.edges] == [1, 2]
+    assert ratio_pair.wt == [1, 2]
 
 
 def test_dimacs_round_trip(five_chain):
     text = to_dimacs(five_chain)
     back = parse_graph(text, "dimacs")
     assert back.n == five_chain.n
-    assert [(e.src, e.dst, e.wt, e.wtp) for e in back.edges] == [
-        (e.src, e.dst, e.wt, e.wtp) for e in five_chain.edges
-    ]
+    assert _rows(back) == _rows(five_chain)
 
 
 def test_dimacs_round_trip_with_wtp(ratio_pair):
     back = parse_graph(to_dimacs(ratio_pair), "dimacs")
-    assert [(e.wt, e.wtp) for e in back.edges] == [(1, 1), (2, 1)]
+    assert list(zip(back.wt, back.wtp)) == [(1, 1), (2, 1)]
 
 
 def test_edgelist_round_trip(two_gadget):
     text = to_edgelist(two_gadget)
     back = parse_graph(text, "edgelist")
     assert back.n == two_gadget.n
-    assert [(e.src, e.dst, e.wt) for e in back.edges] == [
-        (e.src, e.dst, e.wt) for e in two_gadget.edges
-    ]
+    assert list(zip(back.src, back.dst, back.wt)) == list(
+        zip(two_gadget.src, two_gadget.dst, two_gadget.wt)
+    )
 
 
 def test_parse_dot_subset():
     g = parse_graph('digraph { a -> b [label="3"]; b -> a [label=-1]; }', "dot")
     assert g.n == 2 and g.m == 2
-    assert sorted(e.wt for e in g.edges) == [-1, 3]
+    assert sorted(g.wt) == [-1, 3]
     assert g.labels == ["a", "b"]
 
 
@@ -147,7 +149,7 @@ def test_parse_any_sniffs_all_three_formats(five_chain):
 
 def test_self_loop_is_parsed_and_counted():
     g = parse_graph("p mrc 2 2\na 1 1 -4\na 1 2 1\n", "dimacs")
-    assert any(e.src == e.dst for e in g.edges)
+    assert any(u == v for u, v in zip(g.src, g.dst))
     scc = tarjan_scc(g)
     loop_comp = scc.comp_of[0]
     assert component_has_cycle(g, scc, loop_comp)
@@ -157,8 +159,8 @@ def _reachability(g: WeightedDigraph) -> list[list[bool]]:
     reach = [[False] * g.n for _ in range(g.n)]
     for u in range(g.n):
         reach[u][u] = True
-    for e in g.edges:
-        reach[e.src][e.dst] = True
+    for u, v in zip(g.src, g.dst):
+        reach[u][v] = True
     for k in range(g.n):
         for i in range(g.n):
             if reach[i][k]:
@@ -231,7 +233,7 @@ def test_induced_subgraph_remaps_edges():
     sub, old = induced_subgraph(g, [0, 1, 4])
     assert sub.n == 3 and sub.m == 3
     assert sorted(old) == [0, 1, 4]
-    back = {(old[e.src], old[e.dst]): e.wt for e in sub.edges}
+    back = {(old[u], old[v]): w for u, v, w in zip(sub.src, sub.dst, sub.wt)}
     assert back == {(0, 1): 1, (1, 4): 2, (4, 0): 3}
     # several components whose edges are interleaved in g, each node list
     # in another order than its ids: every subgraph keeps g's edge order
@@ -245,10 +247,10 @@ def test_induced_subgraph_remaps_edges():
     for nodes in comps + [[11, 2, 7, 3]]:
         sub, old = induced_subgraph(g, nodes)
         new = {u: i for i, u in enumerate(old)}
-        assert sub.edges == [
-            Edge(new[e.src], new[e.dst], e.wt, e.wtp)
-            for e in g.edges
-            if e.src in new and e.dst in new
+        assert _rows(sub) == [
+            (new[u], new[v], w, wp)
+            for u, v, w, wp in _rows(g)
+            if u in new and v in new
         ]
 
 
@@ -306,14 +308,83 @@ def test_dimacs_duplicates_keep_the_minimum_in_first_appearance_order():
     assert [str(w.message) for w in record] == [
         "3 duplicate edge(s) dropped, keeping minimum weight"
     ]
-    assert [(e.src, e.dst, e.wt, e.wtp) for e in g.edges] == [(1, 2, 4, 1), (0, 1, 5, 1), (2, 0, 0, 1)]
+    assert _rows(g) == [(1, 2, 4, 1), (0, 1, 5, 1), (2, 0, 0, 1)]
     assert g.edge_index == {(1, 2): 0, (0, 1): 1, (2, 0): 2}
 
 
 def test_dimacs_long_weights():
     g = parse_graph(f"p mrc 2 1\na 1 2 -{'9' * 4300} 7\n", "dimacs")
-    assert g.edges[0].wt == -(10**4300 - 1) and g.edges[0].wtp == 7
+    assert g.wt[0] == -(10**4300 - 1) and g.wtp[0] == 7
     # Past Python's default limit on int() of a decimal string.
     with pytest.raises(ParseError, match="^line 2: bad weight") as exc:
         parse_graph(f"p mrc 2 1\na 1 2 {'9' * 5000}\n", "dimacs")
     assert exc.value.line == 2
+
+
+# -- one edge store, whichever way the edges come in ------------------------------
+
+
+def _store(g: WeightedDigraph):
+    return (g.n, g.src, g.dst, g.wt, g.wtp, g.out, g.inc, g.edge_index)
+
+
+def _parity_edges(seed: int, unit_wtp: bool) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """Distinct edges on nodes 0..n-1, listed so that the nodes first appear
+    in id order (the edge-list and dot parsers number nodes that way)."""
+    rng = random.Random(seed)
+    n = 9
+    rows = [(u, u + 1, rng.randint(-9, 9), 1 if unit_wtp else rng.randint(1, 4)) for u in range(n - 1)]
+    pairs = {(u, v) for u, v, _, _ in rows}
+    for _ in range(20):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if (u, v) not in pairs:
+            pairs.add((u, v))
+            rows.append((u, v, rng.randint(-10**30, 10**30), 1 if unit_wtp else rng.randint(1, 4)))
+    return n, rows
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("unit_wtp", [True, False])
+def test_every_constructor_path_builds_the_same_store(seed, unit_wtp):
+    n, rows = _parity_edges(seed, unit_wtp)
+    want = WeightedDigraph(n, [Edge(*r) for r in rows])
+    builds = {
+        "tuples": WeightedDigraph(n, rows),
+        "from_edges 4": WeightedDigraph.from_edges(n, rows),
+        "dimacs": parse_graph(to_dimacs(want), "dimacs"),
+        "edgelist": parse_graph(to_edgelist(want), "edgelist"),
+    }
+    if unit_wtp:
+        builds["from_edges 3"] = WeightedDigraph.from_edges(n, [r[:3] for r in rows])
+        stmts = "".join(f'n{u} -> n{v} [label="{w}"];\n' for u, v, w, _ in rows)
+        builds["dot"] = parse_graph("digraph {\n" + stmts + "}\n", "dot")
+    assert want.wt == [r[2] for r in rows] and want.m == len(rows)
+    for name, g in builds.items():
+        assert _store(g) == _store(want), name
+
+
+def test_edge_is_a_plain_record():
+    assert Edge(0, 1, 5).wtp == 1
+    assert Edge(0, 1, 5) == (0, 1, 5, 1)
+    assert Edge(2, 3, -4, 7) == (2, 3, -4, 7)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([(0, 1, 1, 1), (0, 2, 1, 1)], "edge (0,2) out of range for n=2"),
+        ([(0, 1, 1, 1), (-1, 1, 1, 1)], "edge (-1,1) out of range for n=2"),
+        ([(0, 1, 1, 0)], "edge (0,1) has non-positive wtp=0"),
+        ([(1, 0, 1, 1), (0, 1, 1, -3)], "edge (0,1) has non-positive wtp=-3"),
+        ([(0, 1, 1, 1), (1, 1, 2, 1), (0, 1, 2, 1)], "duplicate edge (0,1)"),
+        # the first bad edge in edge order names the error
+        ([(0, 1, 1, 0), (0, 5, 1, 1)], "edge (0,1) has non-positive wtp=0"),
+        ([(0, 1, 1, 1), (0, 1, 1, 1), (1, 7, 1, 1)], "duplicate edge (0,1)"),
+        ([(1, 0, 1, 1), (1, 9, 1, 0), (1, 0, 1, 1)], "edge (1,9) out of range for n=2"),
+    ],
+)
+def test_constructor_refusals_keep_their_messages(rows, message):
+    for edges in (rows, [Edge(*r) for r in rows]):
+        with pytest.raises(ValueError) as exc:
+            WeightedDigraph(2, edges)
+        assert str(exc.value) == message

@@ -88,7 +88,7 @@ def test_weight_override_matches_rebuilt_graph():
         w = [rng.randint(0, 10) for _ in range(g.m)]
         r1 = min_cycle(g, weights=w)
         g2 = WeightedDigraph.from_edges(
-            g.n, [(e.src, e.dst, w[i]) for i, e in enumerate(g.edges)]
+            g.n, list(zip(g.src, g.dst, w))
         )
         r2 = min_cycle(g2)
         assert r1.exact and r2.exact and r1.value == r2.value, seed
@@ -209,7 +209,7 @@ def test_repeated_sweeps_reuse_one_plan(monkeypatch):
             for _ in range(4):
                 w = [rng.randint(-10, 10) for _ in range(g.m)]
                 r = min_cycle(g, t, weights=w)
-                g2 = WeightedDigraph.from_edges(g.n, [(e.src, e.dst, w[i]) for i, e in enumerate(g.edges)])
+                g2 = WeightedDigraph.from_edges(g.n, list(zip(g.src, g.dst, w)))
                 _check_against_enumeration(g2, r, t)
             assert compiled == [(g, t)], (seed, kind)
 
@@ -222,7 +222,7 @@ def test_same_tree_with_another_graph_recompiles():
         plan = t.sweep_plan
         # same skeleton, other orientation and weights: only some edges kept
         rng = random.Random(seed)
-        kept = [(e.dst, e.src, rng.randint(0, 9)) for e in g.edges if rng.random() < 0.7]
+        kept = [(v, u, rng.randint(0, 9)) for u, v in zip(g.src, g.dst) if rng.random() < 0.7]
         h = WeightedDigraph.from_edges(g.n, kept)
         r = min_cycle(h, t)
         assert t.sweep_plan is not plan and t.sweep_plan.graph is h

@@ -109,14 +109,14 @@ def _brute_shortest_from_source(g: WeightedDigraph, source) -> list:
     if source is not None:
         dist[source] = 0
     for _ in range(g.n - 1):
-        for e in g.edges:
-            if dist[e.src] is not INF and dist[e.src] + e.wt < dist[e.dst]:
-                dist[e.dst] = dist[e.src] + e.wt
+        for u, v, w in zip(g.src, g.dst, g.wt):
+            if dist[u] is not INF and dist[u] + w < dist[v]:
+                dist[v] = dist[u] + w
     return dist
 
 
 def _triples(g: WeightedDigraph) -> list[tuple[int, int, int]]:
-    return [(e.src, e.dst, e.wt) for e in g.edges]
+    return list(zip(g.src, g.dst, g.wt))
 
 
 def test_bellman_ford_distances_match_brute_force():
@@ -140,7 +140,7 @@ def test_bellman_ford_witness_is_a_negative_cycle():
             continue
         found += 1
         assert cycle[0] == cycle[-1]
-        total = sum(g.edges[g.edge_index[(cycle[i], cycle[i + 1])]].wt for i in range(len(cycle) - 1))
+        total = sum(g.wt[g.edge_index[(cycle[i], cycle[i + 1])]] for i in range(len(cycle) - 1))
         assert total < 0, (seed, cycle, total)
     assert found > 10  # the regime actually exercises the witness path
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from graphvalues import ratio
-from graphvalues.generate import gen_sparse_random
+from graphvalues.generate import gen_cfg_like, gen_ktree, gen_sparse_random
 from graphvalues.graph import INF, WeightedDigraph, induced_subgraph, tarjan_scc
 from graphvalues.mincycle import min_cycle
 from graphvalues.oracles import (
@@ -132,7 +133,10 @@ def _largest_scc(n, deg, seed, wtp):
 
 
 def _has_negative_cycle(g, nu):
-    edges = [(e.src, e.dst, nu.denominator * e.wt - nu.numerator * e.wtp) for e in g.edges]
+    edges = [
+        (u, v, nu.denominator * w - nu.numerator * wp)
+        for u, v, w, wp in zip(g.src, g.dst, g.wt, g.wtp)
+    ]
     return bellman_ford_edges(g.n, edges)[2] is not None
 
 
@@ -141,7 +145,7 @@ def test_newton_matches_karp_and_ratio_certificate_on_tall_trees():
     # nu + 1/D**2: two ratios with denominators <= D differ by >= 1/D**2.
     for seed in range(4):
         g = _largest_scc(180, 3, seed, wtp=(2, 9))
-        d_bound = g.n * max(e.wtp for e in g.edges)
+        d_bound = g.n * max(g.wtp)
         mu = karp_mean(g)
         for kind, t in _tall_trees(g):
             assert t.height >= 40, (seed, kind)
@@ -217,7 +221,7 @@ def test_packed_walks_stay_below_the_packing_base(monkeypatch):
         assert t.height >= 40
         cycles = enumerate_cycles(g)
         for solve, want, t_max in (
-            (ratio_value, min_ratio_by_enumeration, max(e.wtp for e in g.edges)),
+            (ratio_value, min_ratio_by_enumeration, max(g.wtp)),
             (mean_value, min_mean_by_enumeration, 1),
         ):
             k = 2 ** (t_max.bit_length() + t.height + 3)
@@ -316,8 +320,8 @@ def _oracle_values_per_node(g: WeightedDigraph, attr: str) -> list:
     reach = [[False] * g.n for _ in range(g.n)]
     for u in range(g.n):
         reach[u][u] = True
-    for e in g.edges:
-        reach[e.src][e.dst] = True
+    for u, v in zip(g.src, g.dst):
+        reach[u][v] = True
     for k in range(g.n):
         for i in range(g.n):
             if reach[i][k]:
@@ -388,3 +392,20 @@ def test_approx_exact_when_mean_is_zero():
     mu, stats = approx_mean(g, eps=Fraction(1, 10))
     assert mu == 0
     assert stats.count("bisect") == 0
+
+
+def test_mean_and_ratio_values_are_pinned():
+    """tw's per-node mean and ratio values on seeded k-trees (strongly
+    connected or not, wt' > 1 included), sparse random and cfg-like graphs,
+    so a rewrite of the graph store keeps every value as it is."""
+    h = hashlib.sha256()
+    for seed in range(3):
+        for g in (
+            gen_ktree(120, k=2, seed=seed, wt=(-9, 9), wtp=(1, 5)),
+            gen_ktree(150, k=1 + seed, seed=seed, wt=(-9, 9), wtp=(1, 3), ensure_sc=False),
+            gen_sparse_random(60, 2, seed=seed, wt=(-7, 7), wtp=(1, 4)),
+            gen_cfg_like(200, seed=seed),
+        ):
+            vals = (mean_values_all_nodes(g), ratio_values_all_nodes(g))
+            h.update(repr(vals).encode())
+    assert h.hexdigest() == "fadc2ecddfc8d8c7e8a25f0e7c5d7a670c52cde96122469425924e9502037a4f"

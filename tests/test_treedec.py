@@ -220,7 +220,7 @@ def test_values_on_fit_trees_match_heavy_path_trees():
         assert means == values_all_nodes(g, karp_mean)
         ratios = ratio_values_all_nodes(g)
         assert ratios == ratio_values_all_nodes(g, _heavy)
-        if all(e.wtp == 1 for e in g.edges):
+        if all(wp == 1 for wp in g.wtp):
             assert ratios == means
         credits = energy_values_tw(g, build_decomposition(g))
         assert credits == energy_values_tw(g, _heavy(g))
@@ -260,12 +260,12 @@ def test_fold_bag_contains_edge_and_is_an_endpoint_root():
     for seed in range(12):
         g = sc_ktree(seed)
         t = build_decomposition(g)
-        for e in g.edges:
-            b = fold_bag_of_edge(t, e.src, e.dst)
-            assert {e.src, e.dst} <= t.bags[b]
-            assert b in (t.root_bag_of[e.src], t.root_bag_of[e.dst])
+        for u, v in zip(g.src, g.dst):
+            b = fold_bag_of_edge(t, u, v)
+            assert {u, v} <= t.bags[b]
+            assert b in (t.root_bag_of[u], t.root_bag_of[v])
             # the deeper root bag of the two endpoints
-            assert t.level[b] == max(t.level[t.root_bag_of[e.src]], t.level[t.root_bag_of[e.dst]])
+            assert t.level[b] == max(t.level[t.root_bag_of[u]], t.level[t.root_bag_of[v]])
 
 
 def test_fold_bag_raises_on_uncovered_pair():
@@ -288,7 +288,7 @@ def test_edge_fold_table_partitions_edges():
     assert seen == list(range(g.m))
     for b, row in enumerate(table):
         for (u, v, i) in row:
-            assert g.edges[i].src == u and g.edges[i].dst == v
+            assert g.src[i] == u and g.dst[i] == v
             assert fold_bag_of_edge(t, u, v) == b
 
 
@@ -301,9 +301,9 @@ def test_decomposition_to_text_format():
 def _connected_avoiding(g: WeightedDigraph, a: int, b: int, banned: frozenset) -> bool:
     """Is there an undirected path a..b avoiding `banned` (a, b not banned)?"""
     adj = [set() for _ in range(g.n)]
-    for e in g.edges:
-        adj[e.src].add(e.dst)
-        adj[e.dst].add(e.src)
+    for u, v in zip(g.src, g.dst):
+        adj[u].add(v)
+        adj[v].add(u)
     seen = {a}
     q = deque([a])
     while q:
