@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -438,7 +439,15 @@ def main(argv=None) -> int:
     except SystemExit as e:  # argparse exits 0 for --help, 2 for usage errors
         return EXIT_OK if not e.code else EXIT_INPUT
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader stopped early (`graphvalues energy F | head -1`), which is
+        # neither bad input nor an internal error. Stdout goes to devnull so the
+        # exit flush does not raise again, as the Python docs' SIGPIPE note advises.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (ValueError, KeyError, OSError, ZeroDivisionError, OracleTooBigError) as e:  # ParseError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -8,7 +8,12 @@ of ``u`` is the smallest-level bag containing ``u``; the per-node traversal
 algorithms in this package rely on that.
 
 Construction is greedy elimination (min-degree by default) on the undirected
-skeleton, followed by bringing the tree to height O(log n). One comb makes
+skeleton, followed by bringing the tree to height O(log n). Min-degree
+eliminates in rounds, an independent set of least-degree nodes at a time
+(multiple minimum degree), so a long sequence of blocks, as in structured
+control flow, is eaten from many places at once and its raw tree is already
+shallow. A path only halves per round, so long paths and wide graphs still
+reach the heavy-path rebuild below. One comb makes
 every tree binary: :func:`_binarize` hangs the children of a bag with more
 than two under copies of it, lowest subtrees first, and the width is
 unchanged. A raw elimination tree already within the height bound only gets
@@ -185,59 +190,96 @@ def _skeleton(g: WeightedDigraph) -> list[set[int]]:
 
 
 def _eliminate(g: WeightedDigraph, heuristic: str):
-    """Greedy elimination; returns (bags, parent) of the raw (unbalanced) tree."""
+    """Greedy elimination; returns (bags, parent) of the raw (unbalanced) tree.
+
+    Eliminating ``u`` makes its live neighbours ``nb`` a clique, gives it the
+    bag ``nb | {u}`` and, as parent, the bag of the first-eliminated node in
+    ``nb``. ``min-degree`` is Liu's multiple minimum degree: each round takes
+    the nodes of least degree in node order, keeps each one that no node
+    already kept this round neighbours, and eliminates the kept ones in that
+    order. Kept nodes are not adjacent, so eliminating one leaves the others'
+    neighbourhoods as the round found them. Degrees live in buckets
+    (degree -> set of nodes) and move once per round; a bucket is deleted
+    only when it empties, never because the round that read it is over, so
+    nodes that moved into it stay. A round halves a path, so a long
+    sequence of blocks leaves a tree of logarithmic height, while a path of
+    n nodes still has raw height n/2. ``min-fill`` eliminates one node at a
+    time from a lazy heap: its key reads two-hop neighbourhoods, so keys
+    taken at the start of a round would go stale.
+    """
     n = g.n
     adj = _skeleton(g)
+    elim_pos: list[int] = [-1] * n
+    bags: list[frozenset[int]] = []
+    neighbors_at_elim: list[set[int]] = []
+
+    def eliminate(u: int) -> None:
+        nb = adj[u]  # not copied: once u leaves its neighbours' sets, nothing adds to it
+        elim_pos[u] = len(bags)
+        bags.append(frozenset(nb | {u}))
+        neighbors_at_elim.append(nb)
+        for v in nb:
+            av = adj[v]
+            av |= nb
+            av.discard(v)
+            av.discard(u)
 
     if heuristic == "min-degree":
-
-        def key(u: int) -> int:
-            return len(adj[u])
-
+        deg = [len(a) for a in adj]
+        buckets: dict[int, set[int]] = {}
+        for u, d in enumerate(deg):
+            buckets.setdefault(d, set()).add(u)
+        while buckets:
+            d = min(buckets)
+            least = buckets[d]
+            chosen: list[int] = []
+            touched: set[int] = set()  # live neighbours of the chosen nodes
+            for u in sorted(least):
+                if u not in touched:
+                    chosen.append(u)
+                    touched |= adj[u]
+            least.difference_update(chosen)  # the skipped nodes wait for the next round
+            if not least:
+                del buckets[d]
+            for u in chosen:
+                eliminate(u)
+            for v in touched:
+                old, new = deg[v], len(adj[v])
+                if old != new:
+                    deg[v] = new
+                    bucket = buckets[old]
+                    bucket.discard(v)
+                    if not bucket:
+                        del buckets[old]
+                    buckets.setdefault(new, set()).add(v)
     elif heuristic == "min-fill":
 
         def key(u: int) -> int:
             nb = adj[u]
             return sum(len(nb - adj[v]) - (v in nb) for v in nb) // 2
 
+        heappop, heappush = heapq.heappop, heapq.heappush
+        heap = [(key(u), u) for u in range(n)]
+        pushed = [k for k, _ in heap]  # the key each node's newest entry carries
+        heapq.heapify(heap)
+        while heap:
+            k, u = heappop(heap)
+            if elim_pos[u] >= 0:
+                continue
+            cur = key(u)
+            if k != cur:
+                if cur != pushed[u]:  # else that entry is still queued
+                    pushed[u] = cur
+                    heappush(heap, (cur, u))
+                continue
+            eliminate(u)
+            for v in adj[u]:
+                kv = key(v)
+                if kv != pushed[v]:
+                    pushed[v] = kv
+                    heappush(heap, (kv, v))
     else:
         raise ValueError(f"unknown elimination heuristic {heuristic!r}")
-
-    heappop, heappush = heapq.heappop, heapq.heappush
-    heap = [(key(u), u) for u in range(n)]
-    pushed = [k for k, _ in heap]  # the key each node's newest entry carries
-    heapq.heapify(heap)
-    eliminated = [False] * n
-    elim_pos: list[int] = [-1] * n
-    bags: list[frozenset[int]] = []
-    neighbors_at_elim: list[set[int]] = []
-    order: list[int] = []
-    while heap:
-        k, u = heappop(heap)
-        if eliminated[u]:
-            continue
-        cur = key(u)
-        if k != cur:
-            if cur != pushed[u]:  # else that entry is still queued
-                pushed[u] = cur
-                heappush(heap, (cur, u))
-            continue
-        nb = adj[u]  # not copied: once u leaves its neighbours' sets, nothing adds to it
-        elim_pos[u] = len(order)
-        order.append(u)
-        bags.append(frozenset(nb | {u}))
-        neighbors_at_elim.append(nb)
-        eliminated[u] = True
-        for v in nb:
-            av = adj[v]
-            av |= nb
-            av.discard(v)
-            av.discard(u)
-        for v in nb:
-            kv = key(v)
-            if kv != pushed[v]:
-                pushed[v] = kv
-                heappush(heap, (kv, v))
 
     parent: list[int | None] = [None] * len(bags)
     for i, nb in enumerate(neighbors_at_elim):

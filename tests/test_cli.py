@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import graphvalues
 from graphvalues import cli, treedec
 from graphvalues.cli import main
 from graphvalues.energy import decide_initial_credit
@@ -615,3 +619,24 @@ def test_mean_and_ratio_queries_refuse_another_algo(gadget_file, capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert "--algo tw only" in err
+
+
+def test_a_reader_that_closes_the_pipe_early_is_not_an_error(tmp_path):
+    # 50000 lines of per-node output are far more than a pipe buffers, so the
+    # command is still writing when the reader goes away after one line. The
+    # path is acyclic, so `mean` answers without building a decomposition.
+    n = 50_000
+    p = tmp_path / "path.gr"
+    p.write_text(to_dimacs(WeightedDigraph.from_edges(n, [(u, u + 1, -1) for u in range(n - 1)])))
+    env = {**os.environ, "PYTHONPATH": str(Path(graphvalues.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "graphvalues", "mean", str(p)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""

@@ -420,4 +420,4 @@ def test_energy_solver_is_pinned(monkeypatch):
                     vals = solver(g, t, stats)
                     h.update(repr((vals, seen.pop(), astuple(stats))).encode())
     assert seen == states == []
-    assert h.hexdigest() == "af19919996b31304b203f78096707652c83b3a7556b89a8ff2ed937bac6c62d5"
+    assert h.hexdigest() == "c79947d43b1357c63fba3ac4f69c6dd15155afda5d01071e827016c08c726f85"

@@ -159,9 +159,9 @@ def test_sweep_results_are_pinned():
     height bound. The value, height and exact columns are those the
     uncompiled dict sweep gave; peak_maps follows the depth-first postorder."""
     heavy = _pinned_rows(lambda g, raw: _heavy_path_balance(raw))
-    assert heavy == "79c58843c84606d9cf43b354b5207d33426d42a931e93d9a436e82544b70a18d"
+    assert heavy == "69a2159c0919cf9736c1007ad1370f50c06be3aed5e8e378ff5b244183d9bf84"
     default = _pinned_rows(lambda g, raw: build_decomposition(g))
-    assert default == "b25062e37aa495dde9e0bd721ceee8af0d0ead3e4c7aef89fac4588a24ed0899"
+    assert default == "1121d52289a8a0d6eb4d035bd104df0547133454c33c80dc3260ca8a3410fe9b"
 
 
 def _trees(g):
@@ -281,4 +281,4 @@ def test_sweep_plans_are_pinned():
                 distinct = len({id(s) for s in plan.steps})
                 h.update(repr((list(plan.edge_order), plan.peak_maps, distinct)).encode())
                 h.update(repr([_resolved(s) for s in plan.steps]).encode())
-    assert h.hexdigest() == "07fa5423477e87cc5fd08f16850c82ea11ea2d9e35aacfefe14c5627e87d5c97"
+    assert h.hexdigest() == "c79b88e9d4e681e8e220feac598a8d8558a23d6d758adf8fc0899c006b915cdb"

@@ -32,7 +32,7 @@ from graphvalues.ratio import (
     ratio_values_all_nodes,
     simplest_between,
 )
-from graphvalues.treedec import build_decomposition
+from graphvalues.treedec import TreeDecomposition, build_decomposition
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40
@@ -194,8 +194,7 @@ def test_forced_fallback_stays_exact_and_within_budget(monkeypatch, cap):
 
 def _ring(n, seed):
     """A ring 0 -> 1 -> ... -> n-1 -> 0 of mostly negative edges with
-    positive edges back: the best cycles are long, and the raw min-degree
-    tree is a tall path of bags."""
+    positive edges back: the best cycles are long."""
     rng = random.Random(seed)
     edges = []
     for u in range(n):
@@ -203,6 +202,13 @@ def _ring(n, seed):
         edges.append((u, v, rng.randint(-9, 3), rng.randint(1, 30)))
         edges.append((v, u, rng.randint(10, 20), rng.randint(1, 30)))
     return WeightedDigraph.from_edges(n, edges)
+
+
+def _ring_chain(n):
+    """The ring eaten from node 0 on: bag {i, i+1, n-1} under bag i + 1, a
+    tall path of bags (multiple minimum degree gives the ring a shallow one)."""
+    bags = [{i, i + 1, n - 1} for i in range(n - 2)] + [{n - 2, n - 1}, {n - 1}]
+    return TreeDecomposition(bags, list(range(1, n)) + [None], n)
 
 
 def test_packed_walks_stay_below_the_packing_base(monkeypatch):
@@ -217,7 +223,7 @@ def test_packed_walks_stay_below_the_packing_base(monkeypatch):
     monkeypatch.setattr(ratio, "min_cycle", recording)
     for seed in range(6):
         g = _ring(60, seed)
-        t = build_decomposition(g, balance=False)
+        t = _ring_chain(g.n)
         assert t.height >= 40
         cycles = enumerate_cycles(g)
         for solve, want, t_max in (

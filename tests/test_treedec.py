@@ -133,14 +133,23 @@ def test_star_bag_gets_a_logarithmic_comb(d):
     assert t.height <= math.ceil(math.log2(d)) + 1, t.height
 
 
+def _chain(n):
+    """The path 0 - 1 - ... - n-1 eaten from one end: bag {i, i+1} under
+    bag {i+1, i+2}, a tree of height n - 1."""
+    g = WeightedDigraph.from_edges(n, [(i, i + 1, 1) for i in range(n - 1)])
+    bags = [{i, i + 1} for i in range(n - 1)] + [{n - 1}]
+    return g, TreeDecomposition(bags, list(range(1, n)) + [None], n)
+
+
 def test_tall_raw_tree_falls_back_to_heavy_paths():
     for n in (64, 256):
-        g = WeightedDigraph.from_edges(n, [(i, i + 1, 1) for i in range(n - 1)])
-        raw = build_decomposition(g, balance=False)
+        g, raw = _chain(n)
         assert raw.height > HEIGHT_FACTOR * math.log2(n)
-        t = build_decomposition(g)
+        t = balance_and_binarize(raw)
         heavy = _heavy_path_balance(raw)
         assert (t.bags, t.parent) == (heavy.bags, heavy.parent)
+        # multiple minimum degree halves a path per round
+        assert build_decomposition(g, balance=False).height == n // 2
 
 
 def test_raw_tree_that_outgrows_the_bound_when_binarized_falls_back():
@@ -168,6 +177,120 @@ def test_raw_tree_that_outgrows_the_bound_when_binarized_falls_back():
     assert validate(t, g) is None and t.height <= limit
 
 
+def _replay_rounds(g, raw):
+    """Replay ``raw``'s elimination order on g's skeleton and split it into
+    min-degree rounds: a round runs while the next node has the round's
+    least degree, comes later in node order and neighbours no node taken
+    this round, so each round's picks are independent by construction.
+    Asserts that every round takes at least one node, that a least-degree
+    node is left out only when an earlier pick neighbours it, and the bag
+    rule; returns the number of rounds."""
+    assert len(raw.bags) == g.n
+    last = {}
+    for i, bag in enumerate(raw.bags):
+        for u in bag:
+            last[u] = i
+    # the node eliminated at bag i is the one no later bag holds
+    order = [next(u for u in bag if last[u] == i) for i, bag in enumerate(raw.bags)]
+    adj = [set() for _ in range(g.n)]
+    for u, v in zip(g.src, g.dst):
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    live, i, rounds = set(range(g.n)), 0, 0
+    while i < g.n:
+        least_degree = min(len(adj[u]) for u in live)
+        least = sorted(u for u in live if len(adj[u]) == least_degree)
+        picks = []
+        while i < g.n:
+            u = order[i]
+            if u not in least or (picks and u < picks[-1]) or adj[u] & set(picks):
+                break
+            picks.append(u)
+            i += 1
+        assert picks, f"node {order[i]} eliminated without the least degree {least_degree}"
+        chosen = set(picks)
+        for v in least:
+            if v not in chosen:
+                assert any(p < v for p in adj[v] & chosen), f"least-degree node {v} skipped"
+        for b, u in enumerate(picks, start=i - len(picks)):
+            assert raw.bags[b] == adj[u] | {u}
+            for v in adj[u]:
+                adj[v] |= adj[u]
+                adj[v] -= {u, v}
+            live.discard(u)
+        rounds += 1
+    return rounds
+
+
+def test_min_degree_eliminates_independent_least_degree_rounds():
+    graphs = [gen_cfg_like(60, seed=3)]
+    for seed in range(50):
+        graphs += [
+            small_random(seed),
+            gen_ktree(10 + seed, 2, seed=seed, ensure_sc=False),
+            gen_ktree(12 + seed, 3, seed=seed, ensure_sc=False),
+            gen_cfg_like(20 + seed, seed=seed),
+        ]
+    rounds = nodes = 0
+    for g in graphs:
+        raw = build_decomposition(g, balance=False)
+        assert validate(raw, g, normalized=False) is None
+        rounds += _replay_rounds(g, raw)
+        nodes += g.n
+    assert len(graphs) >= 200 and rounds < nodes / 2
+
+
+def _structured_cfg(blocks, seed):
+    """A sequence of nested if / if-else / while regions, each one entry and
+    one exit, of about ``blocks`` blocks: series-parallel, so treewidth 2."""
+    rng = random.Random(seed)
+    edges = []
+    n = 0
+
+    def block():
+        nonlocal n
+        n += 1
+        return n - 1
+
+    def region(depth):
+        kind = rng.randrange(4) if depth < 4 and n < blocks else 0
+        head = block()
+        if kind == 0:
+            return head, head
+        arms = [sequence(depth + 1) for _ in range(2 if kind == 2 else 1)]
+        tail = block()
+        edges.extend((head, entry, 1) for entry, _ in arms)
+        if kind == 3:  # while: the body's end jumps back to the header
+            edges.extend([(arms[0][1], head, 1), (head, tail, 1)])
+        else:
+            edges.extend((exit_, tail, 1) for _, exit_ in arms)
+            if kind == 1:
+                edges.append((head, tail, 1))
+        return head, tail
+
+    def sequence(depth):
+        entry, exit_ = region(depth)
+        while depth == 0 and n < blocks or depth and rng.random() < 0.6:
+            e, x = region(depth)
+            edges.append((exit_, e, 1))
+            exit_ = x
+        return entry, exit_
+
+    sequence(0)
+    return WeightedDigraph.from_edges(n, edges)
+
+
+def test_structured_cfg_raw_tree_fits_at_width_2():
+    g = _structured_cfg(2000, seed=1)
+    raw = build_decomposition(g, balance=False)
+    assert raw.width == 2
+    assert raw.height <= HEIGHT_FACTOR * math.log2(g.n), raw.height
+    t = balance_and_binarize(raw)
+    assert t.width == raw.width
+    assert validate(t, g) is None
+
+
 def _broom(path=200, pendants=3, wt=(-12, 1)):
     """A path of 2-cycles with `pendants` pendant 2-cycles on every fifth
     node; few of its nodes have energy 0, so the reference solvers are quick."""
@@ -185,7 +308,7 @@ def _broom(path=200, pendants=3, wt=(-12, 1)):
 def test_broom_gets_the_heavy_path_rebuild_finished_by_binarize(monkeypatch):
     g = _broom()
     raw = build_decomposition(g, balance=False)
-    assert raw.height == 197 > HEIGHT_FACTOR * math.log2(g.n)
+    assert raw.height == 100 > HEIGHT_FACTOR * math.log2(g.n)
     assert sum(len(c) > 2 for c in raw.children) == 40
     combed = []
     monkeypatch.setattr(treedec, "_binarize", lambda t: combed.append(t) or _binarize(t))
@@ -344,11 +467,13 @@ def test_bags_are_separators():
 
 def test_elimination_trees_are_pinned():
     """The raw elimination trees of both heuristics, bag for bag, so the
-    (key, node) tie-breaking of the elimination order stays as it is."""
+    elimination order stays as it is: min-degree's rounds of independent
+    least-degree nodes taken in node order, and min-fill's (key, node)
+    tie-breaking."""
     h = hashlib.sha256()
     for seed in range(4):
         for g in (gen_ktree(200, k=2 + seed % 2, seed=seed), gen_cfg_like(150, seed=seed)):
             for heuristic in ("min-degree", "min-fill"):
                 t = build_decomposition(g, heuristic, balance=False)
                 h.update(decomposition_to_text(t).encode())
-    assert h.hexdigest() == "2d212ab73272ddd522150cba595428ab61943f97d09724be4f53b446703299fa"
+    assert h.hexdigest() == "adfed3348a86da8069527fefebc6729ef289a83b9f55aac70dbbff665211d090"
