@@ -7,7 +7,7 @@ problems simply leave it at 1).
 
 Edge i is (src[i], dst[i], wt[i], wtp[i]), four parallel plain lists (weights
 may be bigints) that solvers index or zip and never write; out[u] and inc[v]
-list edge indices, and edge_index maps each (src, dst) pair to its index.
+list the indices of u's outgoing and v's incoming edges in edge order.
 :class:`Edge` is only an input record: the constructor takes Edges or plain
 (src, dst, wt, wtp) tuples alike and keeps neither.
 
@@ -56,7 +56,7 @@ class WeightedDigraph:
     without outgoing edges are allowed.
     """
 
-    __slots__ = ("n", "src", "dst", "wt", "wtp", "labels", "out", "inc", "edge_index")
+    __slots__ = ("n", "src", "dst", "wt", "wtp", "labels", "out", "inc")
 
     def __init__(self, n: int, edges: Iterable[tuple], labels: Sequence[str] | None = None):
         if labels is None:
@@ -65,20 +65,22 @@ class WeightedDigraph:
             raise ValueError(f"{len(labels)} labels for {n} nodes")
         self.n = n
         self.labels = list(labels)
-        src, dst, wt, wtp = [list(c) for c in zip(*edges, strict=True)] or [[], [], [], []]
+        try:
+            src, dst, wt, wtp = [list(c) for c in zip(*edges, strict=True)] or [[], [], [], []]
+        except ValueError:  # a row of another length
+            raise ValueError("edges must be (src, dst, wt, wtp) rows; from_edges takes (src, dst, wt)") from None
         self.src, self.dst, self.wt, self.wtp = src, dst, wt, wtp
         self.out = out = [[] for _ in range(n)]
         self.inc = inc = [[] for _ in range(n)]
-        self.edge_index = index = {}
-        for i, key in enumerate(zip(src, dst)):
-            u, v = key
+        seen = set()  # u * n + v per edge; unique once u and v are in range
+        for i, (u, v) in enumerate(zip(src, dst)):
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if wtp[i] < 1:
                 raise ValueError(f"edge ({u},{v}) has non-positive wtp={wtp[i]}")
-            if key in index:
+            if (key := u * n + v) in seen:
                 raise ValueError(f"duplicate edge ({u},{v})")
-            index[key] = i
+            seen.add(key)
             out[u].append(i)
             inc[v].append(i)
 
@@ -227,10 +229,8 @@ def tarjan_scc(g: WeightedDigraph) -> SccPartition:
 def component_has_cycle(g: WeightedDigraph, scc: SccPartition, comp_id: int) -> bool:
     """A component contains a cycle iff it has >= 2 nodes or a self-loop."""
     comp = scc.components[comp_id]
-    if len(comp) > 1:
-        return True
     u = comp[0]
-    return (u, u) in g.edge_index
+    return len(comp) > 1 or any(g.dst[i] == u for i in g.out[u])
 
 
 def propagate_component_values(

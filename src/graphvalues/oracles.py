@@ -103,7 +103,7 @@ def karp_mean(g: WeightedDigraph) -> Fraction:
     scc = tarjan_scc(g)
     if len(scc) != 1:
         raise ValueError("karp_mean requires a strongly connected graph")
-    if n == 1 and (0, 0) not in g.edge_index:
+    if n == 1 and g.m == 0:
         raise ValueError("acyclic graph: mean undefined")
 
     D = [[None] * n for _ in range(n + 1)]

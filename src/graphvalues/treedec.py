@@ -12,8 +12,8 @@ skeleton, followed by bringing the tree to height O(log n). Min-degree
 eliminates in rounds, an independent set of least-degree nodes at a time
 (multiple minimum degree), so a long sequence of blocks, as in structured
 control flow, is eaten from many places at once and its raw tree is already
-shallow. A path only halves per round, so long paths and wide graphs still
-reach the heavy-path rebuild below. One comb makes
+shallow. A round takes only a path's two ends (a cycle is what halves), so
+long paths and wide graphs still reach the heavy-path rebuild. One comb makes
 every tree binary: :func:`_binarize` hangs the children of a bag with more
 than two under copies of it, lowest subtrees first, and the width is
 unchanged. A raw elimination tree already within the height bound only gets
@@ -201,9 +201,9 @@ def _eliminate(g: WeightedDigraph, heuristic: str):
     neighbourhoods as the round found them. Degrees live in buckets
     (degree -> set of nodes) and move once per round; a bucket is deleted
     only when it empties, never because the round that read it is over, so
-    nodes that moved into it stay. A round halves a path, so a long
-    sequence of blocks leaves a tree of logarithmic height, while a path of
-    n nodes still has raw height n/2. ``min-fill`` eliminates one node at a
+    nodes that moved into it stay. A round takes many blocks of a long
+    sequence at once and halves a cycle, but only a path's two ends, so a
+    path of n nodes has raw height n/2. ``min-fill`` eliminates one node at a
     time from a lazy heap: its key reads two-hop neighbourhoods, so keys
     taken at the start of a round would go stale.
     """
@@ -446,7 +446,7 @@ def fold_bag_of_edge(t: TreeDecomposition, u: int, v: int) -> int:
 
 
 def edge_fold_table(g: WeightedDigraph, t: TreeDecomposition) -> list[list[tuple[int, int, int]]]:
-    """Per-bag list of (u, v, edge_index) folded at that bag."""
+    """Per-bag list of (u, v, i), one per edge i folded at that bag."""
     table: list[list[tuple[int, int, int]]] = [[] for _ in t.bags]
     for i, (u, v) in enumerate(zip(g.src, g.dst)):
         table[fold_bag_of_edge(t, u, v)].append((u, v, i))

@@ -45,14 +45,6 @@ FIVE_CHAIN = WeightedDigraph.from_edges(
     labels=["u", "v", "w", "x", "y"],
 )
 
-_validated = {"count": 0}
-
-
-def _check_decomposition(g: WeightedDigraph, t) -> None:
-    assert validate(t, g) is None
-    _validated["count"] += 1
-
-
 def _best_of(fn, reps: int = 5) -> float:
     best = INF
     for _ in range(reps):
@@ -93,24 +85,29 @@ def test_criterion_2_triple_algebra():
 
 def test_criterion_3_exact_values_match_enumeration_oracle():
     t0 = time.perf_counter()
+    validated = 0
     for seed in range(500):
         g = sc_ktree(seed)  # n <= 10, k <= 3, wt in [-20, 20], wt' in [1, 5]
         t = build_decomposition(g)
-        _check_decomposition(g, t)
+        assert validate(t, g) is None
+        validated += 1
         cycles = enumerate_cycles(g)
         assert mean_value(g, t)[0] == min_mean_by_enumeration(cycles), seed
         assert ratio_value(g, t)[0] == min_ratio_by_enumeration(cycles), seed
         assert karp_mean(g) == min_mean_by_enumeration(cycles), seed
+    assert validated == 500
     elapsed = time.perf_counter() - t0
     assert elapsed < 60, f"criterion-3 suite took {elapsed:.1f}s"
 
 
 def test_criterion_4_energy_three_way_equivalence_and_decisions():
     t0 = time.perf_counter()
+    validated = 0
     for seed in range(300):
         g = small_random(seed, n_max=12, wt=(-7, 7))
         t = build_decomposition(g)
-        _check_decomposition(g, t)
+        assert validate(t, g) is None
+        validated += 1
         vals = nonpositive_values(g)
         assert nonpositive_values_tw(g, t) == vals, seed
         assert energy_values(g.negated()) == energy_fixpoint(g.negated()), seed
@@ -125,15 +122,18 @@ def test_criterion_4_energy_three_way_equivalence_and_decisions():
                 assert decision_energy(g, u, e - 1), (seed, u)
                 if e + 1 <= 0:
                     assert not decision_energy(g, u, e + 1), (seed, u)
+    assert validated == 300
     elapsed = time.perf_counter() - t0
     assert elapsed < 120, f"criterion-4 suite took {elapsed:.1f}s"
 
 
 def test_criterion_5_approximation_error_and_step_budget():
+    validated = 0
     for seed in range(100):
         g = sc_ktree(seed)
         t = build_decomposition(g)
-        _check_decomposition(g, t)
+        assert validate(t, g) is None
+        validated += 1
         mu_star = min_mean_by_enumeration(enumerate_cycles(g))
         for eps in (Fraction(1, 2), Fraction(1, 10), Fraction(1, 100)):
             stats = SearchStats()
@@ -142,6 +142,7 @@ def test_criterion_5_approximation_error_and_step_budget():
             eps_eff = eps / (1 + g.n * g.m * 2**t.height)
             budget = math.ceil(math.log2(g.n) + math.log2(1 / eps_eff)) + 2
             assert stats.count("bisect") <= budget, (seed, eps)
+    assert validated == 100
 
 
 def test_criterion_6_sweep_contract():
@@ -176,10 +177,12 @@ def test_criterion_7_decision_budget():
 
 def test_criterion_8_scaling_smoke():
     times = {}
+    validated = 0
     for n in (10**3, 10**4, 10**5):
         g = gen_ktree(n, 2, seed=11, wt=(-25, 1), ensure_sc=True)
         t = build_decomposition(g)
-        _check_decomposition(g, t)
+        assert validate(t, g) is None
+        validated += 1
         assert t.height <= 6 * math.log2(n), (n, t.height)
         t0 = time.perf_counter()
         vals_tw = energy_values_tw(g, t)
@@ -192,6 +195,7 @@ def test_criterion_8_scaling_smoke():
             assert general_s < 30, f"general energy took {general_s:.1f}s at n=1e3"
         del g, t, vals_tw
         gc.collect()
+    assert validated == 3
     ratio = times[10**5] / times[10**4]
     assert ratio < 25, f"time(1e5)/time(1e4) = {ratio:.1f}"
 
@@ -214,12 +218,13 @@ def _connected_avoiding(g: WeightedDigraph, a: int, b: int, banned: frozenset) -
 
 
 def test_criterion_9_decomposition_validity_and_separators():
-    # criteria 3-8 above validated every decomposition they built
-    assert _validated["count"] >= 500 + 300 + 100 + 3
+    # criteria 3, 4, 5 and 8 count the decompositions they validate
+    validated = 0
     for seed in range(25):
         g = small_random(seed, n_max=12)
         t = build_decomposition(g)
-        _check_decomposition(g, t)
+        assert validate(t, g) is None
+        validated += 1
         nb = len(t.bags)
         sub_nodes = [set(t.rooted[b]) for b in range(nb)]
         for b in t.postorder():
@@ -235,3 +240,4 @@ def test_criterion_9_decomposition_validity_and_separators():
             for a in inside:
                 for z in outside:
                     assert not _connected_avoiding(g, a, z, sep), (seed, b, a, z)
+    assert validated == 25

@@ -58,7 +58,7 @@ def test_basic_accessors(five_chain):
     assert [v for u, v in zip(g.src, g.dst) if u == 1] == [2]
     assert [g.dst[i] for i in g.out[1]] == [2]
     assert sorted(g.src[i] for i in g.inc[1]) == [0, 4]
-    assert g.wt[g.edge_index[(2, 3)]] == 3
+    assert [g.wt[i] for i in g.out[2] if g.dst[i] == 3] == [3]
 
 
 def test_negated_and_unit_wtp(ratio_pair):
@@ -309,7 +309,6 @@ def test_dimacs_duplicates_keep_the_minimum_in_first_appearance_order():
         "3 duplicate edge(s) dropped, keeping minimum weight"
     ]
     assert _rows(g) == [(1, 2, 4, 1), (0, 1, 5, 1), (2, 0, 0, 1)]
-    assert g.edge_index == {(1, 2): 0, (0, 1): 1, (2, 0): 2}
 
 
 def test_dimacs_long_weights():
@@ -325,7 +324,7 @@ def test_dimacs_long_weights():
 
 
 def _store(g: WeightedDigraph):
-    return (g.n, g.src, g.dst, g.wt, g.wtp, g.out, g.inc, g.edge_index)
+    return (g.n, g.src, g.dst, g.wt, g.wtp, g.out, g.inc)
 
 
 def _parity_edges(seed: int, unit_wtp: bool) -> tuple[int, list[tuple[int, int, int, int]]]:
@@ -388,3 +387,24 @@ def test_constructor_refusals_keep_their_messages(rows, message):
         with pytest.raises(ValueError) as exc:
             WeightedDigraph(2, edges)
         assert str(exc.value) == message
+
+
+def test_pairs_that_would_share_a_key_are_refused_as_out_of_range():
+    # (1, 0) and (0, 2) give the same u * n + v for n = 2; the range test comes first.
+    with pytest.raises(ValueError, match=r"^edge \(0,2\) out of range for n=2$"):
+        WeightedDigraph(2, [(1, 0, 1, 1), (0, 2, 1, 1)])
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(0, 1, 1)],
+        [(0, 1, 1, 1), (1, 0, 1)],
+        [(0, 1, 1), (1, 0, 1, 1)],
+        [(0, 1, 1, 1, 1)],
+    ],
+)
+def test_constructor_names_the_row_shape_it_needs(rows):
+    with pytest.raises(ValueError, match=r"\(src, dst, wt, wtp\) rows.*from_edges"):
+        WeightedDigraph(2, rows)
+    assert WeightedDigraph.from_edges(2, [r[:4] for r in rows]).m == len(rows)

@@ -19,7 +19,7 @@ from graphvalues.treedec import build_decomposition
 
 
 def _state(g):
-    return copy.deepcopy((g.n, g.src, g.dst, g.wt, g.wtp, g.labels, g.out, g.inc, g.edge_index))
+    return copy.deepcopy((g.n, g.src, g.dst, g.wt, g.wtp, g.labels, g.out, g.inc))
 
 
 def _solves():

@@ -77,6 +77,12 @@ def test_karp_two_gadget(two_gadget):
     assert karp_mean(two_gadget) == Fraction(-1)
 
 
+def test_karp_single_node_reads_its_self_loop():
+    assert karp_mean(WeightedDigraph.from_edges(1, [(0, 0, -7)])) == Fraction(-7)
+    with pytest.raises(ValueError, match="acyclic"):
+        karp_mean(WeightedDigraph(1, []))
+
+
 def _cycle(n: int) -> WeightedDigraph:
     return WeightedDigraph.from_edges(n, [(u, (u + 1) % n, 1) for u in range(n)])
 
@@ -140,7 +146,8 @@ def test_bellman_ford_witness_is_a_negative_cycle():
             continue
         found += 1
         assert cycle[0] == cycle[-1]
-        total = sum(g.wt[g.edge_index[(cycle[i], cycle[i + 1])]] for i in range(len(cycle) - 1))
+        wt = {(u, v): w for u, v, w in zip(g.src, g.dst, g.wt)}
+        total = sum(wt[(cycle[i], cycle[i + 1])] for i in range(len(cycle) - 1))
         assert total < 0, (seed, cycle, total)
     assert found > 10  # the regime actually exercises the witness path
 

@@ -359,6 +359,20 @@ def test_per_node_inf_for_cycle_free_nodes():
     assert vals == [1, 1, INF]
 
 
+def test_per_node_singletons_with_and_without_self_loops():
+    # Singleton SCCs: 1, 3 and 5 carry self-loops; 0, 2, 8, 9 and 10 do not.
+    g = WeightedDigraph.from_edges(11, [
+        (0, 1, 2), (1, 1, 1, 2), (1, 2, 0), (2, 3, 1), (3, 3, 4), (2, 4, 7),
+        (5, 5, 5, 3), (5, 0, 1), (4, 6, 1), (6, 7, 2), (7, 6, 4), (8, 4, 0), (10, 9, 1),
+    ])
+    mean, ratio = mean_values_all_nodes(g), ratio_values_all_nodes(g)
+    assert mean == _oracle_values_per_node(g, "mean")
+    assert ratio == _oracle_values_per_node(g, "ratio")
+    half = Fraction(1, 2)
+    assert mean == [1, 1, 3, 4, 3, 1, 3, 3, 3, INF, INF]
+    assert ratio == [half, half, 3, 4, 3, half, 3, 3, 3, INF, INF]
+
+
 def test_per_node_karp_cross_check():
     for seed in range(25):
         g = sc_ktree(seed)
