@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .energy import energy_values
+from .energy import decide_initial_credit, energy_values
 from .energy_tw import TwStats, energy_values_tw
 from .generate import generate
 from .graph import INF, InvariantError, load_graph, to_dimacs
@@ -115,6 +115,23 @@ def _disagreement(g, results: dict) -> str | None:
         if got != want:
             bad = next(u for u in range(g.n) if got[u] != want[u])
             return f"node {g.labels[bad]} {first}={want[bad]} {algo}={got[bad]}"
+    return None
+
+
+def _decide_disagreement(g, credits: list) -> str | None:
+    """Where ``decide_initial_credit`` contradicts the per-node credits, or None.
+
+    It is asked at the node with the largest finite credit e, for the credits
+    e - 1 (when >= 0), e and e + 1, which straddle the node's threshold.
+    """
+    finite = [u for u in range(g.n) if credits[u] != INF]
+    if not finite:
+        return None
+    u = max(finite, key=credits.__getitem__)
+    e = credits[u]
+    for c in (e - 1, e, e + 1):
+        if c >= 0 and decide_initial_credit(g, u, c) != (e <= c):
+            return f"node {g.labels[u]} credit={c} energy={e} decide={'yes' if e > c else 'no'}"
     return None
 
 
@@ -320,7 +337,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_selftest(args) -> int:
     """bench's cross-check of every algorithm of every problem, on seeded
-    small k-trees, sparse random graphs and kill-heavy k-trees."""
+    small k-trees, sparse random graphs and kill-heavy k-trees; the energy
+    decision is checked against the agreed credits."""
     from .generate import gen_ktree, gen_sparse_random
 
     checked = 0
@@ -337,6 +355,9 @@ def _cmd_selftest(args) -> int:
                 bad = _disagreement(g, results)
                 if bad:
                     print(f"selftest mismatch ({problem}) seed={seed}: {bad}", file=sys.stderr)
+                    return EXIT_INTERNAL
+                if problem == "energy" and (bad := _decide_disagreement(g, results["tw"])):
+                    print(f"selftest mismatch (energy decide) seed={seed}: {bad}", file=sys.stderr)
                     return EXIT_INTERNAL
             checked += 1
     print(f"selftest passed ({checked} instances)")

@@ -60,7 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .energy import NEG_INF, AugmentedGraph, sink_distance_values
-from .graph import INF, InvariantError, WeightedDigraph
+from .graph import INF, InvariantError, WeightedDigraph, _gc_paused
 from .treedec import TreeDecomposition, build_decomposition
 
 # -- walk triples ------------------------------------------------------------------
@@ -313,6 +313,7 @@ def sssp_to_z_treedec(st: _TwState) -> list:
 # -- public value pipelines ---------------------------------------------------------
 
 
+@_gc_paused
 def _values_tw(
     g: WeightedDigraph, t: TreeDecomposition | None, stats: TwStats | None, sign: int
 ) -> list:

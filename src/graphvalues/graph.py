@@ -16,6 +16,8 @@ Node ids are dense ints ``0..n-1``. Original input names are kept in
 """
 from __future__ import annotations
 
+import functools
+import gc
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -26,6 +28,29 @@ INF = float("inf")
 # A DIMACS problem line declaring more nodes than this is refused: the parser
 # builds one label per declared node before reading any edge.
 DIMACS_MAX_NODES = 1_000_000
+
+
+def _gc_paused(fn):
+    """``fn`` run with Python's cyclic garbage collector disabled.
+
+    The solve pipeline builds no reference cycles (tests/test_gc.py checks
+    this under ``gc.DEBUG_SAVEALL``), so a collection during one of its
+    stages frees nothing and only rescans the young lists and tuples. The
+    collector is re-enabled afterwards only if it was enabled on entry, so
+    nested stages and callers that disabled it themselves keep their state.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kw):
+        if not gc.isenabled():
+            return fn(*args, **kw)
+        gc.disable()
+        try:
+            return fn(*args, **kw)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 class ParseError(ValueError):
@@ -270,6 +295,7 @@ def _parse_int(tok: str, what: str, ln: int) -> int:
         raise ParseError(f"bad {what} {tok!r}", ln) from None
 
 
+@_gc_paused
 def parse_graph(text: str, fmt: str = "dimacs") -> WeightedDigraph:
     """Parse one of the three supported formats.
 

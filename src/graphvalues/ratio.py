@@ -55,6 +55,7 @@ from .graph import (
     INF,
     InvariantError,
     WeightedDigraph,
+    _gc_paused,
     component_has_cycle,
     induced_subgraph,
     propagate_component_values,
@@ -86,6 +87,7 @@ class _RatioSearch:
         self.stats = stats if stats is not None else SearchStats()
         self.wt = g.wt  # approx_mean rebinds it, never edits it
         self.wtp = [1] * g.m if unit_wtp else g.wtp
+        self.acyclic = f"graph has no cycle; {'mean' if unit_wtp else 'ratio'} value undefined"
         self.t_max = max(self.wtp, default=1)
         self.pack = 2 ** (self.t_max.bit_length() + self.t.height + 3)
 
@@ -144,7 +146,7 @@ def _newton_cap(n: int, w_max: int, t_max: int) -> int:
 def _search_value(s: _RatioSearch) -> Fraction:
     found = s.step(Fraction(0), "zero-test")
     if found is None:
-        raise ValueError("graph has no cycle; ratio value undefined")
+        raise ValueError(s.acyclic)
     lam = Fraction(0)
     c, nxt = found
     positive = c > 0
@@ -223,9 +225,10 @@ def mean_value(
 
 
 def _decide(g, t, nu, stats, unit_wtp):
-    sg = _RatioSearch(g, t, stats, unit_wtp=unit_wtp).sign(Fraction(nu), "decide")
+    s = _RatioSearch(g, t, stats, unit_wtp=unit_wtp)
+    sg = s.sign(Fraction(nu), "decide")
     if sg is None:
-        raise ValueError("graph has no cycle; ratio value undefined")
+        raise ValueError(s.acyclic)
     return sg >= 0
 
 
@@ -242,6 +245,7 @@ def decide_mean_geq(g, t, nu, stats=None) -> bool:
 # -- per-node values ---------------------------------------------------------------
 
 
+@_gc_paused
 def values_all_nodes(g: WeightedDigraph, solve) -> list:
     """Per start node: the best value among cycles reachable from it.
 
@@ -296,7 +300,7 @@ def approx_mean(
     s = _RatioSearch(g, t, stats, unit_wtp=True)
     found = s.step(Fraction(0), "sweep")
     if found is None:
-        raise ValueError("graph has no cycle; mean value undefined")
+        raise ValueError(s.acyclic)
     c = found[0]
     if c == 0:
         return Fraction(0), s.stats

@@ -27,7 +27,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .graph import InvariantError, WeightedDigraph
+from .graph import InvariantError, WeightedDigraph, _gc_paused
 
 # Recorded height constant: after balancing (including the one-root-per-bag
 # chains) the tree height is asserted to be <= HEIGHT_FACTOR * ceil(log2 B) +
@@ -293,6 +293,7 @@ def _eliminate(g: WeightedDigraph, heuristic: str):
     return bags, parent
 
 
+@_gc_paused
 def build_decomposition(
     g: WeightedDigraph, heuristic: str = "min-degree", balance: bool = True
 ) -> TreeDecomposition:
@@ -309,6 +310,7 @@ def build_decomposition(
 # -- balancing ------------------------------------------------------------------
 
 
+@_gc_paused
 def balance_and_binarize(t: TreeDecomposition) -> TreeDecomposition:
     """A normalized binary tree of height <= HEIGHT_FACTOR * log2 n for ``t``.
 

@@ -229,6 +229,15 @@ def test_acyclic_per_node_values_are_inf(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("problem, other", [("mean", "ratio"), ("ratio", "mean")])
+def test_decide_on_acyclic_graph_names_the_problem_asked(tmp_path, capsys, problem, other):
+    p = tmp_path / "dag.gr"
+    p.write_text("p mrc 2 1\na 1 2 5\n")
+    assert main([problem, str(p), "--decide", "0"]) == 1
+    err = capsys.readouterr().err
+    assert f"no cycle; {problem} value undefined" in err and other not in err
+
+
 def test_unknown_label_is_input_error(energy_file, capsys):
     assert main(["energy", energy_file, "--decide", "qq", "1"]) == 1
     capsys.readouterr()
@@ -350,6 +359,20 @@ def test_energy_stats_report_repair_rounds(tmp_path, capsys):
     assert _stat(err, "update_bags") == stats.update_bags
     assert _stat(err, "hot_discarded") == stats.hot_discarded
     assert 1 < stats.rounds < stats.kills
+
+
+def test_selftest_checks_the_energy_decision(monkeypatch, capsys):
+    asked = []
+
+    def wrong(g, u, credit):
+        asked.append(credit)
+        return not decide_initial_credit(g, u, credit)
+
+    monkeypatch.setattr(cli, "decide_initial_credit", wrong)
+    assert main(["selftest", "--count", "4", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("selftest mismatch (energy decide) seed=")
+    assert len(asked) == 1
 
 
 def test_selftest_kills_in_several_rounds(monkeypatch, capsys):

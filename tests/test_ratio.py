@@ -91,10 +91,14 @@ def test_mean_hand_values(triangle, two_gadget):
 
 def test_value_raises_on_acyclic():
     g = WeightedDigraph.from_edges(3, [(0, 1, 1), (1, 2, 1)])
-    with pytest.raises(ValueError, match="no cycle"):
+    with pytest.raises(ValueError, match="no cycle; mean value undefined"):
         mean_value(g)
-    with pytest.raises(ValueError, match="no cycle"):
+    with pytest.raises(ValueError, match="no cycle; ratio value undefined"):
         ratio_value(g)
+    with pytest.raises(ValueError, match="no cycle; mean value undefined"):
+        decide_mean_geq(g, None, 0)
+    with pytest.raises(ValueError, match="no cycle; ratio value undefined"):
+        decide_ratio_geq(g, None, 0)
 
 
 def test_exact_values_match_enumeration():
