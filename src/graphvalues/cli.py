@@ -135,6 +135,26 @@ def _decide_disagreement(g, credits: list) -> str | None:
     return None
 
 
+def _value_decide_disagreement(problem: str, g, values: list) -> str | None:
+    """Where ``decide_mean_geq`` or ``decide_ratio_geq`` contradicts the
+    per-node values, or None.
+
+    It is asked about the graph's value, the least per-node value nu = p/q:
+    the answer is yes at nu - 1/(2q) and at nu, and no at nu + 1/(2q).
+    """
+    finite = [v for v in values if v != INF]
+    if not finite:
+        return None
+    decide = decide_mean_geq if problem == "mean" else decide_ratio_geq
+    nu = Fraction(min(finite))
+    t = build_decomposition(g)
+    half = Fraction(1, 2 * nu.denominator)
+    for x in (nu - half, nu, nu + half):
+        if decide(g, t, x) != (x <= nu):
+            return f"value={_frac_text(nu)} nu={_frac_text(x)} decide={'no' if x <= nu else 'yes'}"
+    return None
+
+
 class _Trees:
     """Builds every decomposition a command solves on, with --heuristic.
 
@@ -337,8 +357,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_selftest(args) -> int:
     """bench's cross-check of every algorithm of every problem, on seeded
-    small k-trees, sparse random graphs and kill-heavy k-trees; the energy
-    decision is checked against the agreed credits."""
+    small k-trees, sparse random graphs and kill-heavy k-trees; each
+    problem's decision procedure is checked against the agreed values."""
     from .generate import gen_ktree, gen_sparse_random
 
     checked = 0
@@ -356,8 +376,13 @@ def _cmd_selftest(args) -> int:
                 if bad:
                     print(f"selftest mismatch ({problem}) seed={seed}: {bad}", file=sys.stderr)
                     return EXIT_INTERNAL
-                if problem == "energy" and (bad := _decide_disagreement(g, results["tw"])):
-                    print(f"selftest mismatch (energy decide) seed={seed}: {bad}", file=sys.stderr)
+                values = results["tw"]
+                if problem == "energy":
+                    bad = _decide_disagreement(g, values)
+                else:
+                    bad = _value_decide_disagreement(problem, g, values)
+                if bad:
+                    print(f"selftest mismatch ({problem} decide) seed={seed}: {bad}", file=sys.stderr)
                     return EXIT_INTERNAL
             checked += 1
     print(f"selftest passed ({checked} instances)")

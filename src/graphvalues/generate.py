@@ -148,6 +148,8 @@ def gen_sparse_random(
     """n nodes, about avg_degree*n distinct random edges, no self-loops."""
     if n < 1:
         raise ValueError("need n >= 1")
+    if avg_degree < 0:
+        raise ValueError(f"need avg_degree >= 0, got {avg_degree}")
     lo, width, bits = _weight_range("wt", wt)
     lop, widthp, bitsp = _weight_range("wtp", wtp)
     getrandbits = random.Random(seed).getrandbits

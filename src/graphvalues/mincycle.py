@@ -1,21 +1,19 @@
 """Minimum cycle weight by a bottom-up sweep of a tree decomposition.
 
 Each bag carries a map of local distances: weights of the best known walks
-between pairs of its nodes, built from the maps of its children plus the
-edges folded at the bag. When the sweep reaches the root bag of a node x it
-closes all pairs through x and reads the diagonal entry (x, x), the weight
-of the best closed walk through x seen so far.
+between pairs of its nodes, keyed ``u * n + v``, built from the maps of its
+children plus the edges folded at the bag. When the sweep reaches the root
+bag of a node x it removes every entry that involves x, closes the pairs
+through x, (u, x) + (x, v) for u, v != x, and reads the diagonal entry
+(x, x): the weight of the best closed walk through x seen so far. The
+parent bag does not contain x, so what it receives holds no x at all.
 
-Which map entries can ever hold a walk depends on the edges and the tree,
-not on the weights. So the fold assignment, the bag-local slot layout of
-every map and the index lists that move entries between maps are compiled
-once per (graph, decomposition) into a :class:`SweepPlan`, cached on the
-decomposition; every sweep on it, whatever the weights, only runs min-plus
-over plain lists. A map holds exactly the entries that can be finite, and
-entries through x that the parent can never see are not updated when
-closing through x. The mean and ratio searches, which sweep one
-decomposition with new weights per decision, therefore pay for the
-compilation once.
+Which bag each edge folds at depends on the graph and the tree, not on the
+weights, so the per-bag fold lists of edge indices are built once per
+(graph, decomposition) and cached on the decomposition, with the node
+rooted at each bag and the most maps a sweep holds at once. The mean and
+ratio searches, which sweep one decomposition with new weights per
+decision, build them once.
 
 The resulting value c is exact whenever c >= 0 (and c is +inf exactly when
 the graph is acyclic). A negative c certifies a negative cycle but may
@@ -31,9 +29,7 @@ walk's wt' sum to take Newton steps (see ratio.py).
 """
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
-from operator import add, itemgetter
 
 from .graph import INF, WeightedDigraph
 from .treedec import TreeDecomposition, build_decomposition, edge_fold_table
@@ -58,190 +54,75 @@ class MinCycleResult:
         return 1 if self.exact else max(1, m) * 2**self.height
 
 
-def _getter(slots: tuple, cache: dict):
-    """A function from a list to the tuple of its entries at ``slots``, or
-    None when there are none; one per slot tuple, kept in ``cache``."""
-    f = cache.get(slots)
-    if f is None and slots:
-        if len(slots) == 1:
-            i = slots[0]
-            f = lambda xs: (xs[i],)
+def _peak_maps(t: TreeDecomposition) -> int:
+    """Most maps held at once when the bags are swept in t.postorder()."""
+    live = peak = 0
+    children = t.children
+    for b in t.postorder():
+        live += 1 - len(children[b])
+        if live > peak:
+            peak = live
+    return peak
+
+
+def _sweep(g: WeightedDigraph, t: TreeDecomposition, fold: list, rooted: list, wt) -> tuple:
+    """``(best, walks)`` under weights ``wt``: the minimum closed-walk weight
+    found, or INF, and the negative diagonal entries met at root bags."""
+    n, src, dst = g.n, g.src, g.dst
+    bags, children = t.bags, t.children
+    maps: list = [None] * len(bags)
+    best = INF
+    walks = []
+    for b in t.postorder():
+        ch = children[b]
+        if ch:
+            cur = maps[ch[0]]
+            get = cur.get
+            for c in ch[1:]:
+                for k, w in maps[c].items():
+                    old = get(k)
+                    if old is None or w < old:
+                        cur[k] = w
+                maps[c] = None
+            maps[ch[0]] = None
         else:
-            f = itemgetter(*slots)
-        cache[slots] = f
-    return f
-
-
-def _step(slots: tuple, getters: dict) -> tuple:
-    """The :class:`SweepPlan` step of one bag's slot lists, with its getters
-    shared through ``getters``."""
-    take, extra, fold, new, fresh_a, fresh_c, closed, closed_a, closed_c, diag = slots
-    return (
-        _getter(take, getters),
-        extra,
-        fold,
-        new,
-        (_getter(fresh_a, getters), _getter(fresh_c, getters)) if fresh_a else None,
-        (closed, _getter(closed_a, getters), _getter(closed_c, getters)) if closed else None,
-        diag,
-    )
-
-
-class SweepPlan:
-    """The weight-independent part of a sweep over one (graph, decomposition).
-
-    A bag's map is a list with one slot per node pair that can hold a walk
-    there. ``steps`` holds one tuple per bag in postorder, ``(take, extra,
-    fold, new, fresh, closed, diag)``, in slot numbers:
-
-    - ``take``: gets the first source of each slot that the children's maps
-      reach, out of those maps laid end to end; ``extra`` the (slot, source)
-      pairs of every further source;
-    - ``fold``: the slot of each folded edge whose pair a child already
-      reaches, followed in ``edge_order`` by the ``new`` edges that open the
-      next slots;
-    - ``fresh``: None, or the two getters of the closure candidates
-      (u, x) + (x, v), u, v != x, through the node x rooted here that open
-      the next slots; ``closed``: None, or the slots that already hold a
-      walk and the two getters of their candidates. Pairs through x itself
-      are never updated: the parent does not contain x;
-    - ``diag``: the slot (x, x), or -1.
-
-    Which slots exist follows from the edges alone, so the sweep never
-    touches a slot without a walk. Equal steps are shared, so the plan
-    costs about one pointer per bag.
-    """
-
-    __slots__ = ("graph", "steps", "edge_order", "peak_maps", "height")
-
-    def __init__(self, g: WeightedDigraph, t: TreeDecomposition):
-        fold = edge_fold_table(g, t)
-        rooted = [t.single_rooted(b) for b in range(len(t.bags))]
-        shared: dict = {}  # step by slot lists: equal steps are one object
-        getters: dict = {}
-        self.graph = g
-        self.steps: list[tuple] = []
-        self.edge_order = array("l")  # edge indices in fold order
-        pending: dict[int, dict] = {}  # bag -> its slot of each pair, in slot order
-        live = peak = 0
-        for b in t.postorder():
-            bag = t.bags[b]
-            x = rooted[b]
-            index: dict[tuple[int, int], int] = {}
-            # (u, slot of (u, x)) and (v, slot of (x, v)) for u, v != x
+            cur = {}
+            get = cur.get
+        for i in fold[b]:
+            k = src[i] * n + dst[i]
+            w = wt[i]
+            old = get(k)
+            if old is None or w < old:
+                cur[k] = w
+        x = rooted[b]
+        if x is not None:
+            pop = cur.pop
+            base = x * n
+            d = pop(base + x, None)
             ins, outs = [], []
-            take, extra = [], []
-            src = 0
-            for c in t.children[b]:
-                for k in pending.pop(c):
-                    u, v = k
-                    if u in bag and v in bag:
-                        i = index.get(k)
-                        if i is None:
-                            i = index[k] = len(index)
-                            take.append(src)
-                            if v == x:
-                                if u != x:
-                                    ins.append((u, i))
-                            elif u == x:
-                                outs.append((v, i))
-                        else:
-                            extra.append((i, src))
-                    src += 1
-                live -= 1
-            old, new = [], []
-            for u, v, ei in fold[b]:
-                k = (u, v)
-                i = index.get(k)
-                if i is None:
-                    i = index[k] = len(index)
-                    new.append(ei)
-                    if v == x:
-                        if u != x:
-                            ins.append((u, i))
-                    elif u == x:
-                        outs.append((v, i))
-                else:
-                    old.append(i)
-                    self.edge_order.append(ei)
-            fold[b] = None
-            self.edge_order.extend(new)
-            fresh_a, fresh_c, closed, closed_a, closed_c = [], [], [], [], []
-            for u, a in ins:
+            for v in bags[b]:
+                if v != x:
+                    w = pop(base + v, None)
+                    if w is not None:
+                        outs.append((v, w))
+                    w = pop(v * n + x, None)
+                    if w is not None:
+                        ins.append((v * n, w))
+            for ubase, a in ins:
                 for v, c in outs:
-                    k = (u, v)
-                    i = index.get(k)
-                    if i is None:
-                        fresh_a.append(a)
-                        fresh_c.append(c)
-                        index[k] = len(index)
-                    else:
-                        closed.append(i)
-                        closed_a.append(a)
-                        closed_c.append(c)
-            slots = (
-                tuple(take), tuple(extra), tuple(old), len(new), tuple(fresh_a), tuple(fresh_c),
-                tuple(closed), tuple(closed_a), tuple(closed_c), index.get((x, x), -1),
-            )
-            step = shared.get(slots)
-            if step is None:
-                step = shared[slots] = _step(slots, getters)
-            self.steps.append(step)
-            pending[b] = index
-            live += 1
-            if live > peak:
-                peak = live
-        self.peak_maps = peak
-        self.height = t.height
-
-    def run(self, t: TreeDecomposition, wt) -> tuple:
-        """``(best, walks)`` under weights ``wt`` (indexed like the graph's
-        edges): the minimum closed-walk weight found by the sweep, or INF,
-        and the negative diagonal entries met at root bags."""
-        ws = [wt[i] for i in self.edge_order]
-        p = 0
-        maps: list = [None] * len(t.bags)
-        children = t.children
-        best = INF
-        walks = []
-        for b, (take, extra, fold, new, fresh, closed, diag) in zip(t.postorder(), self.steps):
-            ch = children[b]
-            if len(ch) == 1:
-                src = maps[ch[0]]
-                maps[ch[0]] = None
-            elif ch:
-                src = []
-                for c in ch:
-                    src += maps[c]
-                    maps[c] = None
-            cur = list(take(src)) if take else []
-            for i, j in extra:
-                w = src[j]
-                if w < cur[i]:
-                    cur[i] = w
-            for i in fold:
-                w = ws[p]
-                p += 1
-                if w < cur[i]:
-                    cur[i] = w
-            if new:
-                cur += ws[p : p + new]
-                p += new
-            if fresh:
-                cur += map(add, fresh[0](cur), fresh[1](cur))
-            if closed:
-                for i, w in zip(closed[0], map(add, closed[1](cur), closed[2](cur))):
-                    if w < cur[i]:
-                        cur[i] = w
-            if diag >= 0:
-                d = cur[diag]
+                    w = a + c
+                    k = ubase + v
+                    old = get(k)
+                    if old is None or w < old:
+                        cur[k] = w
+            if d is not None:
                 if d < 0:
                     walks.append(d)
                     d += d  # the cycle through x taken twice
                 if d < best:
                     best = d
-            maps[b] = cur
-        return best, walks
+        maps[b] = cur
+    return best, walks
 
 
 def min_cycle(
@@ -252,17 +133,21 @@ def min_cycle(
     """Minimum cycle weight of g (see module docstring for the guarantee).
 
     ``weights`` optionally replaces edge weights by index, so one
-    decomposition can be reused across many reweighted sweeps. The plan is
-    compiled on the first sweep of (g, t) and cached on ``t``; another graph
-    object on the same tree compiles its own. A ``t`` of another node count
-    raises ValueError.
+    decomposition can be reused across many reweighted sweeps. The fold
+    lists are built on the first sweep of (g, t) and cached on ``t``;
+    another graph object on the same tree builds its own. A ``t`` of
+    another node count raises ValueError, one with a bag that is the root
+    bag of two nodes InvariantError.
     """
     if t is None:
         t = build_decomposition(g)
     elif t.n_nodes != g.n:
         raise ValueError(f"decomposition has {t.n_nodes} nodes, graph has {g.n}")
-    plan = t.sweep_plan
-    if plan is None or plan.graph is not g:
-        plan = t.sweep_plan = SweepPlan(g, t)
-    best, walks = plan.run(t, g.wt if weights is None else weights)
-    return MinCycleResult(best, plan.height, plan.peak_maps, best >= 0, walks)
+    cache = t.fold_cache
+    if cache is None or cache[0] is not g:
+        fold = edge_fold_table(g, t)
+        rooted = [t.single_rooted(b) for b in range(len(t.bags))]
+        cache = t.fold_cache = (g, fold, rooted, _peak_maps(t))
+    _, fold, rooted, peak = cache
+    best, walks = _sweep(g, t, fold, rooted, g.wt if weights is None else weights)
+    return MinCycleResult(best, t.height, peak, best >= 0, walks)

@@ -9,16 +9,16 @@ even when its value is inexact).
 
 Packing. Every search sweep (_RatioSearch.step) uses the packed edge weights
 (q*wt(e) - p*wt'(e)) * K + wt'(e), K = 2**(max_wt'.bit_length() + height + 3).
-Every map slot of the sweep then holds the packed sum c*K + s of one real
+Every map entry of the sweep then holds the packed sum c*K + s of one real
 walk, c its reweighted weight and s its wt' sum, and divmod(value, K) gives
 both back, provided 1 <= s < K. That holds: s >= 1 because wt' >= 1. A bag's
-slots come from its children's slots, single folded edges, and closure
-candidates (u, x) + (x, v) whose two parts are slots the closure does not
+entries come from its children's entries, single folded edges, and closure
+candidates (u, x) + (x, v) whose two parts are entries the closure does not
 update, so a bag's walks have at most twice as many edges as the longest
 walk below it, and at most 2 at a leaf bag: at most 2**(height + 1) edges.
 The diagonal doubling d += d at most doubles once more, so
 s <= max_wt' * 2**(height + 2) < K / 2. With 1 <= s < K, min-plus on the
-packed values is the lexicographic minimum of (c, s): each slot's c is the
+packed values is the lexicographic minimum of (c, s): each entry's c is the
 plain sweep's value, ties go to the smaller s, and the packed value has the
 sign of c, so the sweep itself needs no change.
 

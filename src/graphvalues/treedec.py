@@ -57,7 +57,7 @@ class TreeDecomposition:
         "root_bag_of",
         "rooted",
         "_postorder",
-        "sweep_plan",
+        "fold_cache",
     )
 
     def __init__(self, bags, parent, n_nodes: int):
@@ -96,7 +96,9 @@ class TreeDecomposition:
                     self.root_bag_of[u] = b
                     self.rooted[b].append(u)
         self._postorder = None
-        self.sweep_plan = None  # mincycle.SweepPlan of the last graph swept on this tree
+        # (graph, fold lists, rooted node per bag, peak maps) of the last
+        # graph mincycle.min_cycle swept on this tree
+        self.fold_cache = None
 
     @property
     def width(self) -> int:
@@ -447,11 +449,11 @@ def fold_bag_of_edge(t: TreeDecomposition, u: int, v: int) -> int:
     return b
 
 
-def edge_fold_table(g: WeightedDigraph, t: TreeDecomposition) -> list[list[tuple[int, int, int]]]:
-    """Per-bag list of (u, v, i), one per edge i folded at that bag."""
-    table: list[list[tuple[int, int, int]]] = [[] for _ in t.bags]
+def edge_fold_table(g: WeightedDigraph, t: TreeDecomposition) -> list[list[int]]:
+    """Per-bag list of the indices of the edges folded at that bag."""
+    table: list[list[int]] = [[] for _ in t.bags]
     for i, (u, v) in enumerate(zip(g.src, g.dst)):
-        table[fold_bag_of_edge(t, u, v)].append((u, v, i))
+        table[fold_bag_of_edge(t, u, v)].append(i)
     return table
 
 

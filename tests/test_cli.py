@@ -202,6 +202,13 @@ def test_gen_refuses_an_empty_weight_range(argv, capsys):
     assert "empty weight range wt=(5, 2)" in captured.err
 
 
+def test_gen_refuses_a_negative_average_degree(capsys):
+    assert main(["gen", "sparse-random", "3", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "need avg_degree >= 0, got -1" in captured.err
+
+
 def test_gen_cfg_like(capsys):
     assert main(["gen", "cfg-like", "25", "--seed", "2"]) == 0
     assert capsys.readouterr().out.startswith("p mrc 25 ")
@@ -372,6 +379,22 @@ def test_selftest_checks_the_energy_decision(monkeypatch, capsys):
     assert main(["selftest", "--count", "4", "--seed", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("selftest mismatch (energy decide) seed=")
+    assert len(asked) == 1
+
+
+@pytest.mark.parametrize("problem, name", [("mean", "decide_mean_geq"), ("ratio", "decide_ratio_geq")])
+def test_selftest_checks_the_mean_and_ratio_decisions(monkeypatch, capsys, problem, name):
+    real = getattr(cli, name)
+    asked = []
+
+    def wrong(g, t, nu, stats=None):
+        asked.append(nu)
+        return not real(g, t, nu, stats)
+
+    monkeypatch.setattr(cli, name, wrong)
+    assert main(["selftest", "--count", "4", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"selftest mismatch ({problem} decide) seed=")
     assert len(asked) == 1
 
 

@@ -24,7 +24,9 @@ from graphvalues.energy_tw import (
 )
 from graphvalues.generate import gen_cfg_like, gen_ktree
 from graphvalues.graph import INF, InvariantError, WeightedDigraph
+from graphvalues.mincycle import min_cycle
 from graphvalues.oracles import bellman_ford_edges, energy_fixpoint
+from graphvalues.ratio import decide_mean_geq, mean_value, ratio_value
 from graphvalues.treedec import TreeDecomposition, build_decomposition, validate
 
 
@@ -379,6 +381,10 @@ def test_unnormalized_decomposition_raises():
         zero_energy_nodes_tw(g, t)
     with pytest.raises(InvariantError):
         nonpositive_values_tw(g, t)
+    # the sweeps refuse it too: skipping the check reads inf on a cycle of weight -1
+    for solve in (min_cycle, mean_value, ratio_value, lambda g, t: decide_mean_geq(g, t, 0)):
+        with pytest.raises(InvariantError):
+            solve(g, t)
 
 
 def test_energy_solver_is_pinned(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from conftest import sc_ktree, small_random
 
 from graphvalues import mincycle
-from graphvalues.generate import gen_cfg_like, gen_ktree
+from graphvalues.generate import gen_ktree
 from graphvalues.graph import INF, WeightedDigraph
 from graphvalues.mincycle import min_cycle
 from graphvalues.oracles import enumerate_cycles, min_cycle_weight_by_enumeration
@@ -110,7 +110,7 @@ def test_has_negative_cycle_agrees_with_enumeration():
         assert min_cycle(g).negative == (cstar is not INF and cstar < 0), seed
 
 
-# -- the compiled sweep plan ---------------------------------------------------------
+# -- sweeps on every tree kind -------------------------------------------------------
 
 
 def _retained_maps(t):
@@ -219,16 +219,16 @@ def test_same_tree_with_another_graph_recompiles():
         g = sc_ktree(seed, wt=(0, 9))
         t = build_decomposition(g)
         assert min_cycle(g, t).value == min_cycle_weight_by_enumeration(enumerate_cycles(g))
-        plan = t.sweep_plan
+        cache = t.fold_cache
         # same skeleton, other orientation and weights: only some edges kept
         rng = random.Random(seed)
         kept = [(v, u, rng.randint(0, 9)) for u, v in zip(g.src, g.dst) if rng.random() < 0.7]
         h = WeightedDigraph.from_edges(g.n, kept)
         r = min_cycle(h, t)
-        assert t.sweep_plan is not plan and t.sweep_plan.graph is h
+        assert t.fold_cache is not cache and t.fold_cache[0] is h
         assert r.value == min_cycle_weight_by_enumeration(enumerate_cycles(h)), seed
         assert min_cycle(g, t).value == min_cycle_weight_by_enumeration(enumerate_cycles(g))
-        assert t.sweep_plan.graph is g
+        assert t.fold_cache[0] is g
 
 
 @pytest.mark.parametrize("extra", [-1, 1])
@@ -254,31 +254,3 @@ def test_searches_compile_one_plan_per_decomposition(monkeypatch, solve):
     calls.clear()
     solve(g, None, SearchStats())  # a tree built by the search itself
     assert len(calls) == 1
-
-
-def _resolved(x, slots=range(1 << 30)):
-    """A plan step with every getter replaced by the slot list it reads."""
-    if callable(x):
-        return list(x(slots))
-    if isinstance(x, tuple):
-        return tuple(_resolved(y) for y in x)
-    return x
-
-
-def test_sweep_plans_are_pinned():
-    """The compiled plans themselves, on default and heavy-path trees of
-    seeded k-trees and cfg-like graphs: fold order, peak maps, every step
-    with its getters resolved, and how many distinct steps are shared."""
-    h = hashlib.sha256()
-    for seed in range(4):
-        for g in (
-            gen_ktree(150, k=2 + seed % 2, seed=seed, wt=(-9, 9)),
-            gen_cfg_like(120, seed=seed),
-        ):
-            raw = build_decomposition(g, balance=False)
-            for t in (build_decomposition(g), _heavy_path_balance(raw)):
-                plan = mincycle.SweepPlan(g, t)
-                distinct = len({id(s) for s in plan.steps})
-                h.update(repr((list(plan.edge_order), plan.peak_maps, distinct)).encode())
-                h.update(repr([_resolved(s) for s in plan.steps]).encode())
-    assert h.hexdigest() == "c79b88e9d4e681e8e220feac598a8d8558a23d6d758adf8fc0899c006b915cdb"

@@ -407,12 +407,11 @@ def test_edge_fold_table_partitions_edges():
     g = sc_ktree(3)
     t = build_decomposition(g)
     table = edge_fold_table(g, t)
-    seen = sorted(i for row in table for (_, _, i) in row)
+    seen = sorted(i for row in table for i in row)
     assert seen == list(range(g.m))
     for b, row in enumerate(table):
-        for (u, v, i) in row:
-            assert g.src[i] == u and g.dst[i] == v
-            assert fold_bag_of_edge(t, u, v) == b
+        for i in row:
+            assert fold_bag_of_edge(t, g.src[i], g.dst[i]) == b
 
 
 def test_decomposition_to_text_format():
