@@ -109,6 +109,18 @@ class WeightedDigraph:
             out[u].append(i)
             inc[v].append(i)
 
+    @classmethod
+    def _of_columns(cls, n: int, src: list, dst: list, wt: list, wtp: list, labels: list):
+        """A graph on checked columns: ids in 0..n-1, every wtp >= 1, no pair twice."""
+        g = cls.__new__(cls)
+        g.n, g.labels, g.src, g.dst, g.wt, g.wtp = n, labels, src, dst, wt, wtp
+        g.out = out = [[] for _ in range(n)]
+        g.inc = inc = [[] for _ in range(n)]
+        for i, (u, v) in enumerate(zip(src, dst)):
+            out[u].append(i)
+            inc[v].append(i)
+        return g
+
     # -- construction helpers -------------------------------------------------
 
     @classmethod
@@ -313,7 +325,61 @@ def parse_graph(text: str, fmt: str = "dimacs") -> WeightedDigraph:
     raise ValueError(f"unknown graph format {fmt!r}")
 
 
+# Line breaks of str.splitlines other than "\n" that an ASCII text can hold.
+_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e"
+
+
 def _parse_dimacs(text: str) -> WeightedDigraph:
+    g = _dimacs_columns(text)
+    return _dimacs_lines(text) if g is None else g
+
+
+def _dimacs_columns(text: str) -> WeightedDigraph | None:
+    """The graph of a regular DIMACS text, read by columns; None for any
+    other text, which the line parser then reads (it words every error).
+
+    Regular: the problem line first, then one 'a' line per edge, each with
+    all four or all five fields, lines ended by "\n" (the last one may end
+    the text instead), ids written as labels 1..n, every wt' >= 1 and no
+    pair twice. The tokens that start with 'a' are then exactly the m
+    field-0 tokens (any other one is no label and fails int()), so when
+    each of them follows a "\n" and there are no other line breaks, every
+    line holds exactly one record.
+    """
+    if not text.isascii() or any(map(text.__contains__, _OTHER_BREAKS)):
+        return None
+    toks = text.split()
+    if len(toks) < 4 or toks[0] != "p" or toks[1] != "mrc":
+        return None
+    try:
+        n, m = int(toks[2]), int(toks[3])
+    except ValueError:
+        return None
+    if not (0 <= n <= DIMACS_MAX_NODES and m >= 0):
+        return None
+    width = 5 if len(toks) == 4 + 5 * m else 4
+    if (
+        len(toks) != 4 + width * m
+        or toks[4::width].count("a") != m
+        or text.count("\na") != m
+        or text.count("\n") != m + text.endswith("\n")
+    ):
+        return None
+    labels = [str(i + 1) for i in range(n)]
+    node = dict(zip(labels, range(n)))  # one int object per node, shared by its edges
+    try:
+        src, dst = [list(map(node.__getitem__, toks[i::width])) for i in (5, 6)]
+        wt = list(map(int, toks[7::width]))
+        wtp = list(map(int, toks[8::5])) if width == 5 else [1] * m
+    except (KeyError, ValueError):  # an id out of range or not written as gen writes it, a bad field
+        return None
+    del toks, node
+    if m and min(wtp) < 1 or len({u * n + v for u, v in zip(src, dst)}) != m:
+        return None  # a pair twice: the line parser keeps the least and warns
+    return WeightedDigraph._of_columns(n, src, dst, wt, wtp, labels)
+
+
+def _dimacs_lines(text: str) -> WeightedDigraph:
     n = m = None
     raw: list[tuple[int, int, int, int]] = []
     for ln, line in enumerate(text.splitlines(), start=1):
@@ -443,15 +509,11 @@ def load_graph(path: str) -> WeightedDigraph:
 
 
 def parse_any(text: str) -> WeightedDigraph:
-    for line in text.splitlines():
-        s = line.strip()
-        if not s:
-            continue
-        if s.startswith("digraph"):
-            return parse_graph(text, "dot")
-        if s[0] in "pc":
-            return parse_graph(text, "dimacs")
-        if s.startswith("#") or s[0].isdigit() or s[0] == "-":
-            return parse_graph(text, "edgelist")
-        break
+    """Parse text in the format its first non-blank line names (DIMACS when
+    none does)."""
+    s = text.lstrip()[:7]  # a copy only when text starts with whitespace
+    if s.startswith("digraph"):
+        return parse_graph(text, "dot")
+    if s[:1] in ("#", "-") or s[:1].isdigit():
+        return parse_graph(text, "edgelist")
     return parse_graph(text, "dimacs")

@@ -22,10 +22,11 @@ edges, so c only satisfies c <= c* and |c| <= |c*| * m * 2**height. Sign
 questions are therefore answered exactly, which is all the decision
 procedures built on top of this need.
 
-Besides the minimum, a sweep reports every negative diagonal entry (x, x)
-it reads at a root bag (MinCycleResult.closed_walks): each is the weight of
-one closed walk through x, which the exact ratio search packs with the
-walk's wt' sum to take Newton steps (see ratio.py).
+Besides the minimum, a sweep reports every diagonal entry (x, x) it reads
+at a root bag, before the doubling (MinCycleResult.closed_walks): each is
+the weight of one closed walk through x, which the exact ratio search packs
+with the walk's wt' sum to pick its first and each next Newton point (see
+ratio.py).
 """
 from __future__ import annotations
 
@@ -41,8 +42,8 @@ class MinCycleResult:
     height: int
     peak_maps: int  # most maps simultaneously retained during the sweep
     exact: bool  # True iff value >= 0 or value is INF
-    # Every negative diagonal entry (x, x) read at a root bag, before the
-    # doubling: each is the weight of one closed walk through x.
+    # Every diagonal entry (x, x) read at a root bag, before the doubling:
+    # each is the weight of one closed walk through x. Empty iff value is INF.
     closed_walks: list = field(default_factory=list)
 
     @property
@@ -67,7 +68,7 @@ def _peak_maps(t: TreeDecomposition) -> int:
 
 def _sweep(g: WeightedDigraph, t: TreeDecomposition, fold: list, rooted: list, wt) -> tuple:
     """``(best, walks)`` under weights ``wt``: the minimum closed-walk weight
-    found, or INF, and the negative diagonal entries met at root bags."""
+    found, or INF, and the diagonal entries met at root bags."""
     n, src, dst = g.n, g.src, g.dst
     bags, children = t.bags, t.children
     maps: list = [None] * len(bags)
@@ -116,8 +117,8 @@ def _sweep(g: WeightedDigraph, t: TreeDecomposition, fold: list, rooted: list, w
                     if old is None or w < old:
                         cur[k] = w
             if d is not None:
+                walks.append(d)
                 if d < 0:
-                    walks.append(d)
                     d += d  # the cycle through x taken twice
                 if d < best:
                     best = d

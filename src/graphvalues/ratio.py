@@ -22,19 +22,20 @@ packed values is the lexicographic minimum of (c, s): each entry's c is the
 plain sweep's value, ties go to the smaller s, and the packed value has the
 sign of c, so the sweep itself needs no change.
 
-Newton step (Dinkelbach). A sweep at lam whose c is negative reports every
-negative diagonal value met at a root bag (MinCycleResult.closed_walks),
-each the packed (c, s) of a closed walk W through the bag's node. The
-search moves to lam' = lam + c/(q*s) = wt(W)/wt'(W) for the W with the
+Newton step (Dinkelbach). A sweep reports every diagonal value it reads
+at a root bag (MinCycleResult.closed_walks), each the packed (c, s) of a
+closed walk W through the bag's node. When the sweep at lam reads c < 0,
+the search moves to lam' = lam + c/(q*s) = wt(W)/wt'(W) for the W with the
 smallest c/s (not the most negative c, which tends to be a long spliced
-walk with a ratio near lam). Then nu* <= lam' < lam, because a closed walk's ratio is an average
-of the ratios of the cycles it decomposes into. The search stops at the
-first lam whose sweep gives c = 0: lam is a walk ratio, so nu* <= lam, and
-c >= 0 means nu* >= lam.
+walk with a ratio near lam). Then nu* <= lam' < lam, because a closed
+walk's ratio is an average of the ratios of the cycles it decomposes into.
+The search stops at the first lam whose sweep gives c = 0: lam is a walk
+ratio, so nu* <= lam, and c >= 0 means nu* >= lam.
 
 Start. The zero test sweeps lam = 0: c = 0 gives nu* = 0, and a negative c
-is already Newton's first step. When it is positive, the search starts at
-lam0 = max over edges of wt/wt', which bounds every cycle ratio from above.
+is already Newton's first step. When c is positive, the same pick, the
+smallest ratio wt(W)/wt'(W) among the closed walks that sweep read, is a
+closed walk's ratio and so bounds nu* from above; the search starts there.
 
 Fallback. Newton gets at most _newton_cap steps, as many as the bisection
 below needs for the whole magnitude bound. Past the cap, the last swept lam
@@ -91,31 +92,39 @@ class _RatioSearch:
         self.t_max = max(self.wtp, default=1)
         self.pack = 2 ** (self.t_max.bit_length() + self.t.height + 3)
 
-    def sign(self, nu: Fraction, phase: str):
-        """cmp(nu*, nu): +1 / 0 / -1, or None when the graph is acyclic."""
-        found = self.step(nu, phase)
-        return None if found is None else (found[0] > 0) - (found[0] < 0)
-
-    def step(self, lam: Fraction, phase: str):
+    def sweep(self, lam: Fraction, phase: str):
         """One packed sweep at lam: None when the graph is acyclic, else
-        (c, lam') with c the sweep's reweighted value and lam' the smallest
-        ratio among the closed walks it reported (None unless c < 0)."""
+        (c, r) with c the sweep's reweighted value and r its MinCycleResult."""
         p, q = lam.numerator, lam.denominator
         k = self.pack
         a, b = q * k, p * k - 1  # (q*wt - p*wt')*k + wt' = a*wt - b*wt'
         w = [a * x - b * y for x, y in zip(self.wt, self.wtp)]
         r = min_cycle(self.g, self.t, weights=w)
         self.stats.record(phase, lam)
-        if r.value == INF:
+        return None if r.value == INF else (r.value // k, r)
+
+    def sign(self, nu: Fraction, phase: str):
+        """cmp(nu*, nu): +1 / 0 / -1, or None when the graph is acyclic."""
+        found = self.sweep(nu, phase)
+        return None if found is None else (found[0] > 0) - (found[0] < 0)
+
+    def step(self, lam: Fraction, phase: str):
+        """One packed sweep at lam: None when the graph is acyclic, else
+        (c, lam') with c the sweep's reweighted value and lam' the smallest
+        ratio among the closed walks it read (None when c = 0)."""
+        found = self.sweep(lam, phase)
+        if found is None:
             return None
-        c = r.value // k
-        if c >= 0:
-            return c, None
-        best_c, best_s = 0, 1
+        c, r = found
+        if c == 0:
+            return 0, None
+        k = self.pack
+        best_c, best_s = divmod(r.closed_walks[0], k)
         for v in r.closed_walks:
             wc, ws = divmod(v, k)
             if wc * best_s < best_c * ws:
                 best_c, best_s = wc, ws
+        p, q = lam.numerator, lam.denominator
         return c, Fraction(best_c + p * best_s, q * best_s)
 
 
@@ -150,12 +159,8 @@ def _search_value(s: _RatioSearch) -> Fraction:
     lam = Fraction(0)
     c, nxt = found
     positive = c > 0
-    if positive:
-        top_a, top_b = s.wt[0], s.wtp[0]
-        for a, b in zip(s.wt, s.wtp):
-            if a * top_b > top_a * b:
-                top_a, top_b = a, b
-        lam = Fraction(top_a, top_b)
+    if positive:  # nxt is a closed walk's ratio, so nu* <= nxt
+        lam = nxt
         c, nxt = s.step(lam, "newton")
     cap = _newton_cap(s.g.n, max(1, s.g.max_abs_weight()), s.t_max)
     steps = 0
@@ -298,7 +303,7 @@ def approx_mean(
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
     s = _RatioSearch(g, t, stats, unit_wtp=True)
-    found = s.step(Fraction(0), "sweep")
+    found = s.sweep(Fraction(0), "sweep")
     if found is None:
         raise ValueError(s.acyclic)
     c = found[0]
@@ -313,7 +318,7 @@ def approx_mean(
         eps_eff = eps / alpha
         shift = Fraction(-c)
         s.wt = [a - c for a in s.wt]
-        c = s.step(Fraction(0), "sweep")[0]
+        c = s.sweep(Fraction(0), "sweep")[0]
         if c < 0:
             raise InvariantError("weight shift failed to clear negative cycles")
         if c == 0:

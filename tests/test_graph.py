@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
+import warnings
 
 import pytest
 from conftest import small_random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphvalues import graph
+from graphvalues.generate import gen_ktree
 from graphvalues.graph import (
     DIMACS_MAX_NODES,
     INF,
@@ -408,3 +412,153 @@ def test_constructor_names_the_row_shape_it_needs(rows):
     with pytest.raises(ValueError, match=r"\(src, dst, wt, wtp\) rows.*from_edges"):
         WeightedDigraph(2, rows)
     assert WeightedDigraph.from_edges(2, [r[:4] for r in rows]).m == len(rows)
+
+
+# -- DIMACS read by columns ------------------------------------------------------
+
+
+def _outcome(parse, text):
+    """What ``parse`` makes of text: its store, labels and warnings, or its
+    ParseError message."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            g = parse(text)
+        except ParseError as exc:
+            return "error", str(exc)
+    return _store(g), g.labels, [str(w.message) for w in caught]
+
+
+_MUTATIONS = [
+    "drop a field",
+    "add a duplicate",
+    "id out of range",
+    "wtp 0",
+    "add a c line",
+    "another edge count",
+    "a token",
+    "another arc tag",
+]
+
+
+@st.composite
+def _mutated_dimacs(draw):
+    """Well-formed DIMACS text (all arcs with four or all with five fields),
+    then a few mutations that make it irregular or wrong."""
+    n = draw(st.integers(1, 6))
+    pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), unique=True, max_size=10))
+    five = draw(st.booleans())
+    arcs = [
+        ["a", str(u), str(v), str(draw(st.integers(-9, 9)))] + ([str(draw(st.integers(1, 4)))] if five else [])
+        for u, v in pairs
+    ]
+    m, comments = len(arcs), []
+    mutations = draw(st.lists(st.sampled_from(_MUTATIONS), max_size=3))
+    for mutation in mutations:
+        at = draw(st.integers(0, len(arcs)))
+        arc = arcs[at % len(arcs)] if arcs else None
+        if mutation == "another edge count":
+            m += draw(st.sampled_from([-1, 1]))
+        elif mutation == "add a c line":
+            comments.append((at, "c " + draw(st.sampled_from(_TOKENS))))
+        elif arc is None:
+            continue
+        elif mutation == "drop a field":
+            arc.pop(draw(st.integers(1, len(arc) - 1)))
+        elif mutation == "add a duplicate":
+            arcs.insert(at, list(arc))
+            m += 1
+        elif mutation == "id out of range":
+            arc[draw(st.integers(1, 2))] = draw(st.sampled_from(["0", "-1", str(n + 1)]))
+        elif mutation == "wtp 0":
+            arc[4:] = ["0"]
+        elif mutation == "another arc tag":
+            arc[0] = draw(st.sampled_from(["abc", "c", "p", "x"]))
+        else:  # a token
+            arc[draw(st.integers(0, len(arc) - 1))] = draw(st.sampled_from(_TOKENS))
+    lines = [f"p mrc {n} {m}"] + [" ".join(arc) for arc in arcs]
+    for at, line in comments:
+        lines.insert(at, line)
+    text = "\n".join(lines) + draw(st.sampled_from(["\n", ""]))  # "": no trailing newline
+    # then join, split or break lines: a space or line break becomes another
+    # separator; "move" keeps the number of line breaks and of tokens
+    seps = ["move", "\n", " ", "\n\n", "\r", "\r\n", "\x0c", "\v", "\x1c", "\t"]
+    for sep in draw(st.lists(st.sampled_from(seps), max_size=2)):
+        if sep == "move" and "\n" in text:
+            at = draw(st.sampled_from([i for i, ch in enumerate(text) if ch == "\n"]))
+            text = text[:at] + " " + text[at + 1 :]
+            sep = "\n"
+        at = draw(st.sampled_from([i for i, ch in enumerate(text) if ch in " \n"]))
+        text = text[:at] + sep + text[at + 1 :]
+    return text
+
+
+@settings(max_examples=500)
+@given(st.one_of(_mutated_dimacs(), st.lists(st.sampled_from(_TOKENS), max_size=30).map(" ".join)))
+def test_columns_and_lines_read_every_dimacs_text_alike(text):
+    lines = _outcome(graph._dimacs_lines, text)
+    assert _outcome(lambda t: parse_graph(t, "dimacs"), text) == lines
+    if text.startswith(("p", "c", "a")):
+        assert _outcome(parse_any, text) == lines
+
+
+def _arcs_text(g: WeightedDigraph, wtp: bool, end: str = "\n") -> str:
+    arcs = [f"a {u + 1} {v + 1} {w}" + (f" {wp}" if wtp else "") for u, v, w, wp in _rows(g)]
+    return "\n".join([f"p mrc {g.n} {g.m}"] + arcs) + end
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_regular_dimacs_is_read_by_columns(seed):
+    rng = random.Random(seed)
+    g = small_random(seed, wt=(-10**20, 10**20))
+    g = WeightedDigraph(g.n, [(u, v, w, rng.randint(1, 9)) for u, v, w, _ in _rows(g)])
+    unit = WeightedDigraph(g.n, [(u, v, w, 1) for u, v, w, _ in _rows(g)])
+    cases = [(g, to_dimacs(g)), (g, _arcs_text(g, True, "")), (unit, _arcs_text(unit, False))]
+    cases += [(unit, _arcs_text(unit, False, "")), (WeightedDigraph(3, []), "p mrc 3 0\n")]
+    for want, text in cases:
+        h = graph._dimacs_columns(text)
+        assert h is not None, text
+        assert (_store(h), h.labels) == (_store(want), [str(i + 1) for i in range(want.n)])
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p mrc 2 2\na 1 2 3 4 a\n2 1 3 4\n",  # tokens aligned, lines not
+        "p mrc 2 2\na 1 2 3\n4 a 2 1 3 4\n",
+        "p mrc 2 2\na 1 2 3 4\n\na 2 1 3 4\n",  # a blank line
+        "\np mrc 2 1\na 1 2 3 4\n",
+        "c hi\np mrc 2 1\na 1 2 3 4\n",
+        "p mrc 2 2\na 1 2 3 4\na 2 1 3\n",  # four and five fields
+        "p mrc 2 2\na 1 2 3 4\na 1 2 3 4\n",  # a pair twice
+        "p mrc 2 1\na 1 3 3 4\n",
+        "p mrc 2 1\na 0 2 3 4\n",
+        "p mrc 2 1\na 1 2 3 0\n",
+        "p mrc 2 1\r\na 1 2 3 4\r\n",
+        "p mrc 2 2\na 1 2 3 4\x0ca 2 1 3 4\n",
+        "p mrc 2 1\na 1 2\u20283 4\n",
+        "p mrc 2 1\n a 1 2 3 4\n",
+        "p mrc 2 1\na 1 2 3 4\n \n",
+        "p mrc 2 1\na 1 2 x 4\n",
+        "p sp 2 1\na 1 2 3 4\n",
+        "p mrc 2 1\nab 1 2 3 4\n",
+    ],
+)
+def test_irregular_dimacs_goes_to_the_line_parser(text):
+    assert graph._dimacs_columns(text) is None
+
+
+def test_parse_any_sniffs_without_holding_the_lines():
+    # parse_any used to keep every line of the text alive while it parsed
+    text = to_dimacs(gen_ktree(5000, 2, seed=1, ensure_sc=False))
+    assert text.count("\n") > 10_000
+
+    def peak(parse):
+        tracemalloc.start()
+        try:
+            parse(text)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(parse_any) <= 1.05 * peak(lambda t: parse_graph(t, "dimacs"))

@@ -127,9 +127,11 @@ def _check_against_enumeration(g, r, t):
     assert r.peak_maps == _retained_maps(t)
     if all(len(c) <= 2 for c in t.children):
         assert r.peak_maps <= t.height + 1  # holds on every binary tree
-    # the closed walks are the negative diagonals; the value doubles the least
-    assert (2 * min(r.closed_walks) == r.value) if r.negative else not r.closed_walks
-    assert all(w < 0 for w in r.closed_walks)
+    # the closed walks are every diagonal read; the value is the least, doubled when negative
+    assert (r.value == INF) == (not r.closed_walks)
+    if r.closed_walks:
+        least = min(r.closed_walks)
+        assert r.value == (2 * least if least < 0 else least)
     cstar = min_cycle_weight_by_enumeration(enumerate_cycles(g))
     if cstar == INF:
         assert r.value == INF and r.exact

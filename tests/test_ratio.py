@@ -255,7 +255,34 @@ def test_newton_never_records_exponential():
     assert phases == {"zero-test", "newton"}
 
 
-# case -> (solve(g, t, stats), the phases it records over the corpus)
+def test_a_positive_zero_test_starts_newton_at_its_best_closed_walk():
+    # the benchmark's ktree-ratio input: the zero test's sweep already reads
+    # the best 2-cycle, so one Newton sweep confirms it
+    g = gen_ktree(2500, k=2, wt=(1, 20), wtp=(17, 20), ensure_sc=True, seed=1)
+    val, stats = ratio_value(g)
+    assert val == Fraction(1, 20)
+    assert stats.probes == [("zero-test", 0), ("newton", Fraction(1, 20))]
+
+
+def test_newton_starts_between_the_value_and_the_largest_edge_ratio():
+    total = 0
+    for seed in range(150):
+        g = sc_ktree(seed, wt=(1, 20))  # every cycle positive: the zero test reads c > 0
+        cycles = enumerate_cycles(g)
+        for solve, want, wtp in (
+            (mean_value, min_mean_by_enumeration, [1] * g.m),
+            (ratio_value, min_ratio_by_enumeration, g.wtp),
+        ):
+            val, stats = solve(g)
+            assert val == want(cycles), (seed, solve.__name__)
+            first = next(lam for phase, lam in stats.probes if phase == "newton")
+            top = max(Fraction(a, b) for a, b in zip(g.wt, wtp))
+            assert val <= first <= top, (seed, solve.__name__)
+            total += stats.decisions
+    assert total <= 660  # starting at the largest edge ratio took 1017
+
+
+# case ->(solve(g, t, stats), the phases it records over the corpus)
 _SWEEP_COUNTED = {
     "mean": (mean_value, {"zero-test", "newton"}),
     "ratio": (ratio_value, {"zero-test", "newton"}),
