@@ -156,7 +156,7 @@ def _value_decide_disagreement(problem: str, g, values: list) -> str | None:
 
 
 class _Trees:
-    """Builds every decomposition a command solves on, with --heuristic.
+    """Builds every decomposition a command solves on.
 
     With --validate each tree is checked as soon as it is built, before the
     solver uses it, and --stats reports the trees built.
@@ -167,7 +167,7 @@ class _Trees:
         self.built = []
 
     def __call__(self, g):
-        t = build_decomposition(g, self.args.heuristic)
+        t = build_decomposition(g)
         if self.args.validate:
             v = validate(t, g)
             if v is not None:
@@ -421,7 +421,6 @@ def _add_common(p, algos=None, approx=False, decide_nargs=None):
     p.add_argument("--json", action="store_true", help="emit one JSON object")
     p.add_argument("--stats", action="store_true", help="instrumentation on stderr")
     p.add_argument("--validate", action="store_true", help="check the decomposition first")
-    p.add_argument("--heuristic", choices=("min-degree", "min-fill"), default="min-degree")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -468,8 +467,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algos", default="tw,karp", help="comma-separated algorithm list")
     p.add_argument("--reps", type=_positive_int, default=1)
     p.add_argument("--json", action="store_true")
-    # tw rows build their trees like the per-node commands do by default
-    p.set_defaults(func=_cmd_bench, heuristic="min-degree", validate=False, stats=False)
+    # tw rows build their trees as the per-node commands do, unchecked and unreported
+    p.set_defaults(func=_cmd_bench, validate=False, stats=False)
 
     p = sub.add_parser("selftest", help="differential checks on small seeded instances")
     p.add_argument("--seed", type=int, default=0)

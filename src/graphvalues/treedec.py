@@ -7,19 +7,19 @@ bag is additionally the *root bag* of at most one node, where the root bag
 of ``u`` is the smallest-level bag containing ``u``; the per-node traversal
 algorithms in this package rely on that.
 
-Construction is greedy elimination (min-degree by default) on the undirected
-skeleton, followed by bringing the tree to height O(log n). Min-degree
-eliminates in rounds, an independent set of least-degree nodes at a time
-(multiple minimum degree), so a long sequence of blocks, as in structured
-control flow, is eaten from many places at once and its raw tree is already
-shallow. A round takes only a path's two ends (a cycle is what halves), so
-long paths and wide graphs still reach the heavy-path rebuild. One comb makes
-every tree binary: :func:`_binarize` hangs the children of a bag with more
-than two under copies of it, lowest subtrees first, and the width is
-unchanged. A raw elimination tree already within the height bound only gets
-that comb. A taller one is first rebuilt by divide and conquer over heavy
-paths: each produced bag is the union of at most three original bags, so
-the width grows to at most 3(w+1) - 1, and the same comb finishes it.
+Construction is greedy min-degree elimination on the undirected skeleton,
+followed by bringing the tree to height O(log n). Elimination runs in
+rounds, as tree contraction does: each round takes an independent set of
+the nodes of least degree or of degree at most 2 (rake and compress), so a
+long sequence of blocks, as in structured control flow, a path or a forest
+is eaten from many places at once and its raw tree is already shallow. One
+comb makes every tree binary: :func:`_binarize` hangs the children of a bag
+with more than two under copies of it, lowest subtrees first, and the width
+is unchanged. A raw elimination tree whose combed tree is within the height
+bound is kept. A taller one, such as a long ladder's, is also rebuilt by
+divide and conquer over heavy paths: each produced bag is the union of at
+most three original bags, so the width grows to at most 3(w+1) - 1, and the
+same comb finishes it; the shallower of the two trees is kept.
 """
 from __future__ import annotations
 
@@ -191,97 +191,62 @@ def _skeleton(g: WeightedDigraph) -> list[set[int]]:
     return adj
 
 
-def _eliminate(g: WeightedDigraph, heuristic: str):
+def _eliminate(g: WeightedDigraph):
     """Greedy elimination; returns (bags, parent) of the raw (unbalanced) tree.
 
     Eliminating ``u`` makes its live neighbours ``nb`` a clique, gives it the
     bag ``nb | {u}`` and, as parent, the bag of the first-eliminated node in
-    ``nb``. ``min-degree`` is Liu's multiple minimum degree: each round takes
-    the nodes of least degree in node order, keeps each one that no node
-    already kept this round neighbours, and eliminates the kept ones in that
-    order. Kept nodes are not adjacent, so eliminating one leaves the others'
-    neighbourhoods as the round found them. Degrees live in buckets
-    (degree -> set of nodes) and move once per round; a bucket is deleted
-    only when it empties, never because the round that read it is over, so
-    nodes that moved into it stay. A round takes many blocks of a long
-    sequence at once and halves a cycle, but only a path's two ends, so a
-    path of n nodes has raw height n/2. ``min-fill`` eliminates one node at a
-    time from a lazy heap: its key reads two-hop neighbourhoods, so keys
-    taken at the start of a round would go stale.
+    ``nb``. Each round reads the nodes of degree up to max(least degree, 2),
+    lowest degree first and node order within one, keeps each node that no
+    node already kept this round neighbours, and eliminates the kept ones in
+    that order: Liu's multiple minimum degree, widened by the rake and
+    compress rounds of tree contraction, so that a path or a forest has raw
+    height O(log n). Kept nodes are not adjacent, so eliminating one leaves
+    the others' neighbourhoods as the round found them. Degrees live in
+    buckets (degree -> set of nodes) and move once per round; a bucket is
+    deleted only when it empties.
     """
     n = g.n
     adj = _skeleton(g)
     elim_pos: list[int] = [-1] * n
     bags: list[frozenset[int]] = []
     neighbors_at_elim: list[set[int]] = []
-
-    def eliminate(u: int) -> None:
-        nb = adj[u]  # not copied: once u leaves its neighbours' sets, nothing adds to it
-        elim_pos[u] = len(bags)
-        bags.append(frozenset(nb | {u}))
-        neighbors_at_elim.append(nb)
-        for v in nb:
-            av = adj[v]
-            av |= nb
-            av.discard(v)
-            av.discard(u)
-
-    if heuristic == "min-degree":
-        deg = [len(a) for a in adj]
-        buckets: dict[int, set[int]] = {}
-        for u, d in enumerate(deg):
-            buckets.setdefault(d, set()).add(u)
-        while buckets:
-            d = min(buckets)
-            least = buckets[d]
-            chosen: list[int] = []
-            touched: set[int] = set()  # live neighbours of the chosen nodes
-            for u in sorted(least):
+    deg = [len(a) for a in adj]
+    buckets: dict[int, set[int]] = {}
+    for u, d in enumerate(deg):
+        buckets.setdefault(d, set()).add(u)
+    while buckets:
+        least = min(buckets)
+        chosen: list[int] = []
+        touched: set[int] = set()  # live neighbours of the chosen nodes
+        for d in range(least, max(least, 2) + 1):
+            bucket = buckets.get(d, set())
+            for u in sorted(bucket):
                 if u not in touched:
                     chosen.append(u)
                     touched |= adj[u]
-            least.difference_update(chosen)  # the skipped nodes wait for the next round
-            if not least:
-                del buckets[d]
-            for u in chosen:
-                eliminate(u)
-            for v in touched:
-                old, new = deg[v], len(adj[v])
-                if old != new:
-                    deg[v] = new
-                    bucket = buckets[old]
-                    bucket.discard(v)
-                    if not bucket:
-                        del buckets[old]
-                    buckets.setdefault(new, set()).add(v)
-    elif heuristic == "min-fill":
-
-        def key(u: int) -> int:
-            nb = adj[u]
-            return sum(len(nb - adj[v]) - (v in nb) for v in nb) // 2
-
-        heappop, heappush = heapq.heappop, heapq.heappush
-        heap = [(key(u), u) for u in range(n)]
-        pushed = [k for k, _ in heap]  # the key each node's newest entry carries
-        heapq.heapify(heap)
-        while heap:
-            k, u = heappop(heap)
-            if elim_pos[u] >= 0:
-                continue
-            cur = key(u)
-            if k != cur:
-                if cur != pushed[u]:  # else that entry is still queued
-                    pushed[u] = cur
-                    heappush(heap, (cur, u))
-                continue
-            eliminate(u)
-            for v in adj[u]:
-                kv = key(v)
-                if kv != pushed[v]:
-                    pushed[v] = kv
-                    heappush(heap, (kv, v))
-    else:
-        raise ValueError(f"unknown elimination heuristic {heuristic!r}")
+                    bucket.discard(u)  # the skipped nodes wait for the next round
+            if not bucket:
+                buckets.pop(d, None)
+        for u in chosen:
+            nb = adj[u]  # not copied: once u leaves its neighbours' sets, nothing adds to it
+            elim_pos[u] = len(bags)
+            bags.append(frozenset(nb | {u}))
+            neighbors_at_elim.append(nb)
+            for v in nb:
+                av = adj[v]
+                av |= nb
+                av.discard(v)
+                av.discard(u)
+        for v in touched:
+            old, new = deg[v], len(adj[v])
+            if old != new:
+                deg[v] = new
+                bucket = buckets[old]
+                bucket.discard(v)
+                if not bucket:
+                    del buckets[old]
+                buckets.setdefault(new, set()).add(v)
 
     parent: list[int | None] = [None] * len(bags)
     for i, nb in enumerate(neighbors_at_elim):
@@ -299,10 +264,13 @@ def _eliminate(g: WeightedDigraph, heuristic: str):
 def build_decomposition(
     g: WeightedDigraph, heuristic: str = "min-degree", balance: bool = True
 ) -> TreeDecomposition:
-    """Greedy elimination decomposition, balanced and normalized by default."""
+    """Min-degree elimination decomposition, balanced and normalized by
+    default. Any ``heuristic`` but ``"min-degree"`` raises ``ValueError``."""
+    if heuristic != "min-degree":
+        raise ValueError(f"unknown elimination heuristic {heuristic!r}")
     if g.n == 0:
         return TreeDecomposition([frozenset()], [None], 0)
-    bags, parent = _eliminate(g, heuristic)
+    bags, parent = _eliminate(g)
     raw = TreeDecomposition(bags, parent, g.n)
     if not balance:
         return raw
@@ -314,20 +282,21 @@ def build_decomposition(
 
 @_gc_paused
 def balance_and_binarize(t: TreeDecomposition) -> TreeDecomposition:
-    """A normalized binary tree of height <= HEIGHT_FACTOR * log2 n for ``t``.
+    """A normalized binary tree of height O(log n) for ``t``.
 
-    When ``t`` already fits that bound and still does once binarized, the
-    binarized tree is returned and the width is unchanged. Otherwise ``t`` is
-    rebuilt by :func:`_heavy_path_balance`, with width <= 3*(width+1) - 1.
-    Both trees get the same finish: :func:`_binarize`, then
-    :func:`_split_multi_rooted`.
+    ``t`` is first combed by :func:`_binarize` and :func:`_split_multi_rooted`,
+    which keep the width, and that tree is returned if its height is within
+    HEIGHT_FACTOR * log2 n. Otherwise the shallower of it and the rebuild by
+    :func:`_heavy_path_balance` (width <= 3*(width+1) - 1) is returned. Of the
+    trees the library builds, those of long ladders need the rebuild, since
+    elimination eats a ladder from its two ends only; on wide graphs the
+    rebuild chains the root bag's many nodes and can come out taller.
     """
-    limit = HEIGHT_FACTOR * math.log2(max(t.n_nodes, 1))
-    if t.height <= limit:
-        fit = _split_multi_rooted(_binarize(t))
-        if fit.height <= limit:
-            return fit
-    return _heavy_path_balance(t)
+    fit = _split_multi_rooted(_binarize(t))
+    if fit.height <= HEIGHT_FACTOR * math.log2(max(t.n_nodes, 1)):
+        return fit
+    rebuilt = _heavy_path_balance(t)
+    return rebuilt if rebuilt.height < fit.height else fit
 
 
 def _binarize(t: TreeDecomposition) -> TreeDecomposition:

@@ -8,8 +8,9 @@ from hypothesis import settings
 
 from graphvalues.generate import gen_ktree, gen_sparse_random
 from graphvalues.graph import WeightedDigraph
+from graphvalues.treedec import TreeDecomposition, build_decomposition
 
-settings.register_profile("suite", deadline=None, max_examples=60)
+settings.register_profile("suite", deadline=None, max_examples=60, print_blob=True)
 settings.load_profile("suite")
 
 
@@ -69,3 +70,15 @@ def small_random(seed: int, n_max: int = 12, wt: tuple[int, int] = (-8, 8)) -> W
     n = rng.randint(1, n_max)
     deg = rng.choice([1.0, 1.5, 2.0, 3.0])
     return gen_sparse_random(n, avg_degree=deg, seed=seed, wt=wt)
+
+
+def reversed_tree(g: WeightedDigraph, balance: bool = True) -> TreeDecomposition:
+    """The decomposition built on g with every node u renamed n-1-u, its bags
+    mapped back to g's nodes: a second tree shape for the same graph, since
+    elimination breaks ties in node order."""
+    n = g.n
+    flipped = WeightedDigraph.from_edges(
+        n, [(n - 1 - u, n - 1 - v, w, wp) for u, v, w, wp in zip(g.src, g.dst, g.wt, g.wtp)]
+    )
+    t = build_decomposition(flipped, balance=balance)
+    return TreeDecomposition([{n - 1 - u for u in bag} for bag in t.bags], t.parent, n)

@@ -476,13 +476,13 @@ def test_oracle_on_long_cycle_is_not_recursive(tmp_path, capsys):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Every decomposition built during a call, as (heuristic, tree)."""
+    """Every decomposition built during a call."""
     real = treedec.build_decomposition
     seen = []
 
-    def recording(g, heuristic="min-degree", balance=True):
-        t = real(g, heuristic, balance)
-        seen.append((heuristic, t))
+    def recording(g, balance=True):
+        t = real(g, balance=balance)
+        seen.append(t)
         return t
 
     for name, mod in list(sys.modules.items()):
@@ -525,19 +525,22 @@ def _stat(err: str, key: str) -> int:
     ],
 )
 def test_one_decomposition_per_solve(multi_scc_file, builds, capsys, argv, want_builds):
-    argv = [argv[0], multi_scc_file, *argv[1:], "--stats", "--validate", "--heuristic", "min-fill"]
+    argv = [argv[0], multi_scc_file, *argv[1:], "--stats", "--validate"]
     assert main(argv) in (0, 3)
     err = capsys.readouterr().err
     assert len(builds) == want_builds
-    assert all(h == "min-fill" for h, _ in builds)
     assert _stat(err, "builds") == want_builds
     if builds:
-        trees = [t for _, t in builds]
-        assert _stat(err, "width") == max(t.width for t in trees)
-        assert _stat(err, "height") == max(t.height for t in trees)
-        assert _stat(err, "bags") == sum(len(t.bags) for t in trees)
+        assert _stat(err, "width") == max(t.width for t in builds)
+        assert _stat(err, "height") == max(t.height for t in builds)
+        assert _stat(err, "bags") == sum(len(t.bags) for t in builds)
     else:
         assert "width=" not in err
+
+
+def test_heuristic_flag_is_gone(multi_scc_file):
+    for command in ("mean", "energy", "treedec"):
+        assert main([command, multi_scc_file, "--heuristic", "min-fill"]) == 1
 
 
 # -- bench rows build their own decompositions, inside the timed span -------------------
@@ -561,9 +564,9 @@ def test_bench_builds_each_tw_tree_inside_its_row(tmp_path, monkeypatch, capsys,
     events, trees = [], []
     real_build = treedec.build_decomposition
 
-    def recording(g, heuristic="min-degree", balance=True):
+    def recording(g, balance=True):
         events.append("b")
-        trees.append(real_build(g, heuristic, balance))
+        trees.append(real_build(g, balance=balance))
         return trees[-1]
 
     def clock():

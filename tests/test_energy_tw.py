@@ -5,7 +5,7 @@ import random
 from dataclasses import astuple
 
 import pytest
-from conftest import small_random
+from conftest import reversed_tree, small_random
 
 from graphvalues import energy, energy_tw
 from graphvalues.energy import (
@@ -355,7 +355,7 @@ def test_kill_rounds_on_cascades_match_the_references():
         for t in (
             build_decomposition(g),
             build_decomposition(g, balance=False),
-            build_decomposition(g, "min-fill"),
+            reversed_tree(g),
         ):
             stats = TwStats()
             xs, st = zero_energy_nodes_tw(g, t, stats)
@@ -420,11 +420,11 @@ def test_energy_solver_is_pinned(monkeypatch):
             for t in (
                 build_decomposition(g),
                 build_decomposition(g, balance=False),
-                build_decomposition(g, "min-fill"),
+                reversed_tree(g),
             ):
                 for solver in (energy_values_tw, nonpositive_values_tw):
                     stats = TwStats()
                     vals = solver(g, t, stats)
                     h.update(repr((vals, seen.pop(), astuple(stats))).encode())
     assert seen == states == []
-    assert h.hexdigest() == "c79947d43b1357c63fba3ac4f69c6dd15155afda5d01071e827016c08c726f85"
+    assert h.hexdigest() == "56048666a2ef1d1f74bab1f5ca7e0601d99f6339c7a7f85fbbe6f379ab7bb6ab"

@@ -469,7 +469,8 @@ def _mutated_dimacs(draw):
             arcs.insert(at, list(arc))
             m += 1
         elif mutation == "id out of range":
-            arc[draw(st.integers(1, 2))] = draw(st.sampled_from(["0", "-1", str(n + 1)]))
+            if len(arc) >= 3:  # dropped fields may have taken both ids
+                arc[draw(st.integers(1, 2))] = draw(st.sampled_from(["0", "-1", str(n + 1)]))
         elif mutation == "wtp 0":
             arc[4:] = ["0"]
         elif mutation == "another arc tag":

@@ -4,7 +4,7 @@ import hashlib
 import random
 
 import pytest
-from conftest import sc_ktree, small_random
+from conftest import reversed_tree, sc_ktree, small_random
 
 from graphvalues import mincycle
 from graphvalues.generate import gen_ktree
@@ -161,15 +161,15 @@ def test_sweep_results_are_pinned():
     height bound. The value, height and exact columns are those the
     uncompiled dict sweep gave; peak_maps follows the depth-first postorder."""
     heavy = _pinned_rows(lambda g, raw: _heavy_path_balance(raw))
-    assert heavy == "69a2159c0919cf9736c1007ad1370f50c06be3aed5e8e378ff5b244183d9bf84"
+    assert heavy == "125fc7e571664ec58702c69137c212f3eace2848c4a623c894c955882062b837"
     default = _pinned_rows(lambda g, raw: build_decomposition(g))
-    assert default == "1121d52289a8a0d6eb4d035bd104df0547133454c33c80dc3260ca8a3410fe9b"
+    assert default == "ca266b031c537ef33a62d265eab2d79d12ee96215cf87adc8dee50bbc2c49680"
 
 
 def _trees(g):
     yield "balanced", build_decomposition(g)
     yield "raw", build_decomposition(g, balance=False)
-    yield "min-fill", build_decomposition(g, "min-fill")
+    yield "reversed", reversed_tree(g)
 
 
 def _star(seed):

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import sc_ktree, small_random
+from conftest import reversed_tree, sc_ktree, small_random
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -127,7 +127,7 @@ def test_stats_accumulate_and_phase_names():
 
 def _tall_trees(g):
     yield "raw", build_decomposition(g, balance=False)
-    yield "min-fill", build_decomposition(g, "min-fill", balance=False)
+    yield "reversed", reversed_tree(g, balance=False)
     yield "balanced", build_decomposition(g)
 
 

@@ -20,6 +20,7 @@ from graphvalues.treedec import (
     TreeDecomposition,
     _binarize,
     _heavy_path_balance,
+    _split_multi_rooted,
     balance_and_binarize,
     build_decomposition,
     decomposition_to_text,
@@ -70,11 +71,13 @@ def test_build_is_valid_on_generated_graphs():
     assert validate(build_decomposition(g), g) is None
 
 
-def test_min_fill_heuristic_also_valid():
-    for seed in range(10):
-        g = sc_ktree(seed)
-        t = build_decomposition(g, heuristic="min-fill")
-        assert validate(t, g) is None, seed
+def test_min_degree_is_the_only_heuristic():
+    g = sc_ktree(3)
+    t, default = build_decomposition(g, "min-degree"), build_decomposition(g)
+    assert (t.bags, t.parent) == (default.bags, default.parent)
+    for heuristic in ("min-fill", ""):
+        with pytest.raises(ValueError, match="heuristic"):
+            build_decomposition(g, heuristic)
 
 
 def test_unbalanced_build_is_valid_unnormalized():
@@ -141,15 +144,56 @@ def _chain(n):
     return g, TreeDecomposition(bags, list(range(1, n)) + [None], n)
 
 
-def test_tall_raw_tree_falls_back_to_heavy_paths():
+def _ladder(rungs, pendants=0, wt=(-12, 1)):
+    """Two rails of 2-cycles, 0..rungs-1 and rungs..2*rungs-1, joined by a
+    2-cycle rung at every position, plus `pendants` pendant 2-cycles on every
+    fifth node of the first rail. Its treewidth is 2, but elimination eats it
+    from its two ends only, so its raw height is `rungs`."""
+    rng = random.Random(rungs)
+    n = 2 * rungs
+    pairs = [(u, u + rungs) for u in range(rungs)]
+    pairs += [(u, u + 1) for u in range(n - 1) if u != rungs - 1]
+    for u in range(0, rungs, 5):
+        pairs += [(u, v) for v in range(n, n + pendants)]
+        n += pendants
+    edges = [e for u, v in pairs for e in ((u, v, rng.randint(*wt)), (v, u, rng.randint(*wt)))]
+    return WeightedDigraph.from_edges(n, edges)
+
+
+def _count_rebuilds(monkeypatch):
+    """The trees handed to the heavy-path rebuild from now on."""
+    rebuilt = []
+    real = treedec._heavy_path_balance
+    monkeypatch.setattr(treedec, "_heavy_path_balance", lambda t: rebuilt.append(t) or real(t))
+    return rebuilt
+
+
+def test_tall_raw_tree_falls_back_to_heavy_paths(monkeypatch):
     for n in (64, 256):
         g, raw = _chain(n)
         assert raw.height > HEIGHT_FACTOR * math.log2(n)
         t = balance_and_binarize(raw)
         heavy = _heavy_path_balance(raw)
         assert (t.bags, t.parent) == (heavy.bags, heavy.parent)
-        # multiple minimum degree halves a path per round
-        assert build_decomposition(g, balance=False).height == n // 2
+    g = _ladder(2000)
+    raw = build_decomposition(g, balance=False)
+    assert raw.width == 2 and raw.height == 2000 > HEIGHT_FACTOR * math.log2(g.n)
+    rebuilt = _count_rebuilds(monkeypatch)
+    t = build_decomposition(g)
+    assert len(rebuilt) == 1 and validate(t, g) is None
+    assert t.height <= HEIGHT_FACTOR * math.ceil(math.log2(len(t.bags))) + HEIGHT_FACTOR
+
+
+def test_wide_graph_keeps_the_binarized_tree_when_the_rebuild_is_taller():
+    g = gen_sparse_random(400, 1.5, seed=0)
+    raw = build_decomposition(g, balance=False)
+    fit = _split_multi_rooted(_binarize(raw))
+    heavy = _heavy_path_balance(raw)
+    assert HEIGHT_FACTOR * math.log2(g.n) < fit.height < heavy.height
+    assert fit.width < heavy.width
+    t = balance_and_binarize(raw)
+    assert (t.bags, t.parent) == (fit.bags, fit.parent)
+    assert validate(t, g) is None
 
 
 def test_raw_tree_that_outgrows_the_bound_when_binarized_falls_back():
@@ -179,12 +223,12 @@ def test_raw_tree_that_outgrows_the_bound_when_binarized_falls_back():
 
 def _replay_rounds(g, raw):
     """Replay ``raw``'s elimination order on g's skeleton and split it into
-    min-degree rounds: a round runs while the next node has the round's
-    least degree, comes later in node order and neighbours no node taken
-    this round, so each round's picks are independent by construction.
-    Asserts that every round takes at least one node, that a least-degree
-    node is left out only when an earlier pick neighbours it, and the bag
-    rule; returns the number of rounds."""
+    rounds: a round runs while the next node has degree at most
+    max(least degree, 2), comes later in (degree, node) order and neighbours
+    no node taken this round, so each round's picks are independent by
+    construction. Asserts that every round takes at least one node, that a
+    node of such a degree is left out only when an earlier pick neighbours
+    it, and the bag rule; returns the number of rounds."""
     assert len(raw.bags) == g.n
     last = {}
     for i, bag in enumerate(raw.bags):
@@ -199,20 +243,20 @@ def _replay_rounds(g, raw):
             adj[v].add(u)
     live, i, rounds = set(range(g.n)), 0, 0
     while i < g.n:
-        least_degree = min(len(adj[u]) for u in live)
-        least = sorted(u for u in live if len(adj[u]) == least_degree)
+        cap = max(min(len(adj[u]) for u in live), 2)
+        key = {u: (len(adj[u]), u) for u in live if len(adj[u]) <= cap}
         picks = []
         while i < g.n:
             u = order[i]
-            if u not in least or (picks and u < picks[-1]) or adj[u] & set(picks):
+            if u not in key or (picks and key[u] < key[picks[-1]]) or adj[u] & set(picks):
                 break
             picks.append(u)
             i += 1
-        assert picks, f"node {order[i]} eliminated without the least degree {least_degree}"
+        assert picks, f"node {order[i]} eliminated with degree above {cap}"
         chosen = set(picks)
-        for v in least:
+        for v in key:
             if v not in chosen:
-                assert any(p < v for p in adj[v] & chosen), f"least-degree node {v} skipped"
+                assert any(key[p] < key[v] for p in adj[v] & chosen), f"node {v} skipped"
         for b, u in enumerate(picks, start=i - len(picks)):
             assert raw.bags[b] == adj[u] | {u}
             for v in adj[u]:
@@ -293,7 +337,7 @@ def test_structured_cfg_raw_tree_fits_at_width_2():
 
 def _broom(path=200, pendants=3, wt=(-12, 1)):
     """A path of 2-cycles with `pendants` pendant 2-cycles on every fifth
-    node; few of its nodes have energy 0, so the reference solvers are quick."""
+    node."""
     rng = random.Random(path)
     edges, n = [], path
     for u in range(path - 1):
@@ -305,16 +349,47 @@ def _broom(path=200, pendants=3, wt=(-12, 1)):
     return WeightedDigraph.from_edges(n, edges)
 
 
-def test_broom_gets_the_heavy_path_rebuild_finished_by_binarize(monkeypatch):
-    g = _broom()
+def _caterpillar(spine=10_000, legs=4):
+    """A path of `spine` nodes with `legs` leaves on every one of them."""
+    edges = [(u, u + 1, 1) for u in range(spine - 1)]
+    edges += [(u, spine + legs * u + j, 1) for u in range(spine) for j in range(legs)]
+    return WeightedDigraph.from_edges(spine * (legs + 1), edges)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: WeightedDigraph.from_edges(50_000, [(i, i + 1, 1) for i in range(49_999)]),
+        lambda: _broom(31_250),
+        _caterpillar,
+    ],
+    ids=["path", "broom", "caterpillar"],
+)
+def test_paths_and_forests_get_shallow_raw_trees(monkeypatch, make):
+    # each round rakes the leaves and compresses an independent set of the
+    # degree-2 nodes, so the raw tree already fits and is only binarized
+    g = make()
+    raw = build_decomposition(g, balance=False)
+    assert raw.width <= 2
+    assert raw.height <= HEIGHT_FACTOR * math.log2(g.n), raw.height
+    rebuilt = _count_rebuilds(monkeypatch)
+    t = build_decomposition(g)
+    assert rebuilt == [] and t.width == raw.width
+    assert validate(t, g) is None
+
+
+def test_ladder_gets_the_heavy_path_rebuild_finished_by_binarize(monkeypatch):
+    # few of its nodes have energy 0, so the reference solvers are quick
+    g = _ladder(100, pendants=3)
     raw = build_decomposition(g, balance=False)
     assert raw.height == 100 > HEIGHT_FACTOR * math.log2(g.n)
-    assert sum(len(c) > 2 for c in raw.children) == 40
     combed = []
     monkeypatch.setattr(treedec, "_binarize", lambda t: combed.append(t) or _binarize(t))
     t = build_decomposition(g)
-    # the rebuild leaves bags of more than two children, all combed by _binarize
-    assert len(combed) == 1 and max(len(c) for c in combed[0].children) > 2
+    # the raw tree is combed first; the rebuild, which is shallower, leaves
+    # bags of more than two children, combed too
+    assert len(combed) == 2 and (combed[0].bags, combed[0].parent) == (raw.bags, raw.parent)
+    assert max(len(c) for c in combed[1].children) > 2
     assert validate(t, g, normalized=True) is None
     assert t.height <= HEIGHT_FACTOR * math.ceil(math.log2(len(t.bags))) + HEIGHT_FACTOR
     assert t.width <= 3 * (raw.width + 1) - 1
@@ -465,14 +540,12 @@ def test_bags_are_separators():
 
 
 def test_elimination_trees_are_pinned():
-    """The raw elimination trees of both heuristics, bag for bag, so the
-    elimination order stays as it is: min-degree's rounds of independent
-    least-degree nodes taken in node order, and min-fill's (key, node)
-    tie-breaking."""
+    """The raw elimination trees, bag for bag, so the elimination order stays
+    as it is: rounds of independent nodes of degree at most max(least
+    degree, 2), taken lowest degree first and in node order within one."""
     h = hashlib.sha256()
     for seed in range(4):
         for g in (gen_ktree(200, k=2 + seed % 2, seed=seed), gen_cfg_like(150, seed=seed)):
-            for heuristic in ("min-degree", "min-fill"):
-                t = build_decomposition(g, heuristic, balance=False)
-                h.update(decomposition_to_text(t).encode())
-    assert h.hexdigest() == "adfed3348a86da8069527fefebc6729ef289a83b9f55aac70dbbff665211d090"
+            t = build_decomposition(g, balance=False)
+            h.update(decomposition_to_text(t).encode())
+    assert h.hexdigest() == "ef0535943a7717d92e9999721e705f5ef8b1e25f592d3229eada94d755b48363"
