@@ -40,7 +40,6 @@ from .ratio import (
     mean_values_all_nodes,
     ratio_value,
     ratio_values_all_nodes,
-    simplest_between,
 )
 from .treedec import (
     TreeDecomposition,
@@ -85,7 +84,6 @@ __all__ = [
     "propagate_component_values",
     "ratio_value",
     "ratio_values_all_nodes",
-    "simplest_between",
     "tarjan_scc",
     "to_dimacs",
     "to_edgelist",

@@ -37,18 +37,20 @@ is already Newton's first step. When c is positive, the same pick, the
 smallest ratio wt(W)/wt'(W) among the closed walks that sweep read, is a
 closed walk's ratio and so bounds nu* from above; the search starts there.
 
-Fallback. Newton gets at most _newton_cap steps, as many as the bisection
-below needs for the whole magnitude bound. Past the cap, the last swept lam
-(negative, so nu* < lam) and a strict lower bound bracket nu*; the bracket
-is bisected down to width <= 1/D**2 with D = n * max(wt'), at which point at
-most one fraction with denominator <= D fits in the interval and a
-Stern-Brocot walk reconstructs it. The approximate mean bisects with the same
-loop, only to a coarser width. All sweeps are counted in SearchStats by
-phase: zero-test, newton, rational-refine for the value; decide; sweep and
-bisect for the approximation.
+Fallback. Newton gets at most _newton_cap steps. Past the cap, nu* lies
+strictly between an integer lower bound and the last swept lam, and its
+denominator is at most D = n * max(wt'). A Stern-Brocot search finds it:
+the first run bisects the integer part under ceil(lam), and each later run
+gallops (doubling, then bisecting) along one run of same-side steps, so
+nu* = a/b takes O(log(ceil(lam) - lo) + log b) sweeps. A probe that reads
+0 is nu*; passing denominator D raises InvariantError. The approximate mean
+bisects plain midpoints to a relative width. All sweeps are counted in
+SearchStats by phase: zero-test, newton, rational-refine for the value;
+decide; sweep and bisect for the approximation.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -128,27 +130,9 @@ class _RatioSearch:
         return c, Fraction(best_c + p * best_s, q * best_s)
 
 
-def simplest_between(a: Fraction, b: Fraction) -> Fraction:
-    """The unique smallest-denominator fraction strictly between a and b."""
-    if a >= b:
-        raise ValueError("need a < b")
-    if b <= 0:
-        return -simplest_between(-b, -a)
-    if a < 0:
-        return Fraction(0)
-    ia = a.numerator // a.denominator
-    if Fraction(ia + 1) < b:
-        return Fraction(ia + 1)
-    fa, fb = a - ia, b - ia
-    if fa == 0:
-        # Simplest in (0, fb) is 1/k for the smallest k with 1/k < fb.
-        return ia + Fraction(1, fb.denominator // fb.numerator + 1)
-    return ia + 1 / simplest_between(1 / fb, 1 / fa)
-
-
 def _newton_cap(n: int, w_max: int, t_max: int) -> int:
-    """Newton steps allowed before falling back to bisection: the number of
-    bisection sweeps that narrow |nu*| <= w_max to width 1/(n*t_max)**2."""
+    """Newton steps allowed before the Stern-Brocot fallback: as many sweeps
+    as bisecting |nu*| <= w_max to width 1/(n*t_max)**2 would take."""
     return (w_max * (n * t_max) ** 2).bit_length() + 2
 
 
@@ -165,8 +149,10 @@ def _search_value(s: _RatioSearch) -> Fraction:
     cap = _newton_cap(s.g.n, max(1, s.g.max_abs_weight()), s.t_max)
     steps = 0
     while c < 0:
-        if steps == cap:
-            return _refine(s, positive, lam)
+        if steps == cap:  # lo < nu* < lam, as min wt/wt' <= nu* when not positive
+            lo = 0 if positive else min(a // b for a, b in zip(s.wt, s.wtp)) - 1
+            d_max = s.g.n * s.t_max  # bounds the wt' sum of a cycle
+            return _stern_brocot(lambda x: s.sign(x, "rational-refine"), lo, math.ceil(lam), d_max)
         if not nxt < lam:
             raise InvariantError("a Newton step failed to lower the ratio value")
         lam = nxt
@@ -177,36 +163,34 @@ def _search_value(s: _RatioSearch) -> Fraction:
     return lam
 
 
-def _bisect(s: _RatioSearch, lo: Fraction, hi: Fraction, width: Fraction, phase: str):
-    """Halve the bracket lo < nu* < hi until it is at most ``width`` wide.
-    Returns the bracket, or (nu*, nu*) once a midpoint sweep reads 0."""
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        sg = s.sign(mid, phase)
-        if sg == 0:
-            return mid, mid
-        if sg > 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
-def _refine(s: _RatioSearch, positive: bool, lam: Fraction) -> Fraction:
-    """nu* by bisection, given nu* < lam and the sign of nu*."""
-    if positive:
-        lo = Fraction(0)
-    else:  # strictly below min wt/wt' <= nu*
-        lo = Fraction(min(a // b for a, b in zip(s.wt, s.wtp)) - 1)
-    # Two fractions with denominators <= D differ by at least 1/D**2, so at
-    # most one fits strictly inside a bracket that narrow.
-    lo, hi = _bisect(s, lo, lam, Fraction(1, (s.g.n * s.t_max) ** 2), "rational-refine")
-    if lo == hi:
-        return lo
-    cand = simplest_between(lo, hi)
-    if s.sign(cand, "rational-refine") != 0:
-        raise InvariantError("rational reconstruction missed the ratio value")
-    return cand
+def _stern_brocot(sign, lo: int, hi: int, d_max: int) -> Fraction:
+    """The fraction nu* with lo < nu* < hi and denominator <= d_max, read
+    from sign(x) = cmp(nu*, x) by a Stern-Brocot descent that gallops along
+    each run of same-side steps (Kwek and Mehlhorn, IPL 86, 2003)."""
+    # nu* lies between the tree neighbours p/q (near) and r/t (far), with
+    # 1/0 for infinity; side is sign() on the near side. A run moves the
+    # near end to (p + k*r)/(q + k*t) for the largest k still on its side.
+    p, q, r, t, side = lo, 1, 1, 0, 1
+    k_ok, k_bad = 0, hi - lo  # the first run is the integer part, under hi
+    while True:
+        while k_bad is None or k_bad - k_ok > 1:
+            # nu* lies strictly beyond (p + k_ok*r)/(q + k_ok*t), so its
+            # denominator is larger than that node's
+            if q + k_ok * t > d_max:
+                raise InvariantError("the ratio search passed every denominator a cycle can have")
+            k = 2 * k_ok if k_bad is None else (k_ok + k_bad) // 2
+            x = Fraction(p + k * r, q + k * t)
+            sg = sign(x)
+            if sg == 0:
+                return x
+            if sg == side:
+                k_ok = k
+            else:
+                k_bad = k
+        # k_ok + 1 is on the far side, so the next run, which moves the far
+        # end, starts with k = 1 known
+        p, q, r, t = r, t, p + k_ok * r, q + k_ok * t
+        side, k_ok, k_bad = -side, 1, None
 
 
 def ratio_value(
@@ -325,5 +309,14 @@ def approx_mean(
             return -shift, s.stats
 
     # shifted value >= c/n since |C| <= n
-    _, hi = _bisect(s, Fraction(0), Fraction(c), eps_eff * Fraction(c, g.n), "bisect")
+    lo, hi, width = Fraction(0), Fraction(c), eps_eff * Fraction(c, g.n)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        sg = s.sign(mid, "bisect")
+        if sg == 0:
+            return mid - shift, s.stats
+        if sg > 0:
+            lo = mid
+        else:
+            hi = mid
     return hi - shift, s.stats

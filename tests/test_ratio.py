@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from graphvalues import ratio
 from graphvalues.generate import gen_cfg_like, gen_ktree, gen_sparse_random
-from graphvalues.graph import INF, WeightedDigraph, induced_subgraph, tarjan_scc
+from graphvalues.graph import INF, InvariantError, WeightedDigraph, induced_subgraph, tarjan_scc
 from graphvalues.mincycle import min_cycle
 from graphvalues.oracles import (
     bellman_ford_edges,
@@ -30,49 +30,36 @@ from graphvalues.ratio import (
     mean_values_all_nodes,
     ratio_value,
     ratio_values_all_nodes,
-    simplest_between,
 )
 from graphvalues.treedec import TreeDecomposition, build_decomposition
 
-rationals = st.fractions(
-    min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40
+# -- Stern-Brocot search ---------------------------------------------------------------
+
+
+@given(
+    st.integers(-(10**6), 10**6),
+    st.integers(1, 10**6),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
 )
+def test_stern_brocot_search_finds_the_value_within_its_probe_bound(num, den, below, above):
+    v = Fraction(num, den)
+    lo, hi = math.ceil(v) - 1 - below, math.floor(v) + 1 + above
+    probes = []
+
+    def sign(x):
+        probes.append(x)
+        return (v > x) - (v < x)
+
+    assert ratio._stern_brocot(sign, lo, hi, v.denominator) == v
+    assert len(probes) <= 3 * (1 + math.log2(hi - lo) + math.log2(v.denominator))
 
 
-# -- simplest_between ---------------------------------------------------------------
-
-
-@given(rationals, rationals)
-def test_simplest_between_lands_strictly_inside(a, b):
-    if a == b:
-        with pytest.raises(ValueError):
-            simplest_between(a, b)
-        return
-    lo, hi = min(a, b), max(a, b)
-    r = simplest_between(lo, hi)
-    assert lo < r < hi
-
-
-@given(rationals, rationals)
-def test_simplest_between_minimizes_denominator(a, b):
-    if a == b:
-        return
-    lo, hi = min(a, b), max(a, b)
-    r = simplest_between(lo, hi)
-    # nothing with a smaller denominator fits in the open interval
-    for q in range(1, r.denominator):
-        lo_p = math.floor(lo * q) + 1
-        hi_p = math.ceil(hi * q) - 1
-        for p in range(lo_p, hi_p + 1):
-            assert not lo < Fraction(p, q) < hi, (lo, hi, p, q)
-
-
-def test_simplest_between_hand_cases():
-    assert simplest_between(Fraction(0), Fraction(1)) == Fraction(1, 2)
-    assert simplest_between(Fraction(-1), Fraction(1)) == 0
-    assert simplest_between(Fraction(5, 2), Fraction(7, 2)) == 3
-    assert simplest_between(Fraction(13, 10), Fraction(14, 10)) == Fraction(4, 3)
-    assert simplest_between(Fraction(-14, 10), Fraction(-13, 10)) == Fraction(-4, 3)
+@pytest.mark.parametrize("reading", [1, -1])
+def test_stern_brocot_search_raises_past_the_denominator_bound(reading):
+    # a sign that never reads 0 has no value of denominator <= 1000 behind it
+    with pytest.raises(InvariantError, match="every denominator"):
+        ratio._stern_brocot(lambda x: reading, -5, 5, 1000)
 
 
 # -- exact values ---------------------------------------------------------------
@@ -194,6 +181,32 @@ def test_forced_fallback_stays_exact_and_within_budget(monkeypatch, cap):
             assert stats.count("newton") <= cap + 1
             fell_back += stats.count("rational-refine") > 0
     assert fell_back >= 50
+
+
+def test_forced_fallback_searches_the_stern_brocot_tree(monkeypatch):
+    total = worst = 0
+    for cap in (0, 1):
+        monkeypatch.setattr(ratio, "_newton_cap", lambda n, w_max, t_max: cap)
+        for seed in range(150):
+            g = sc_ktree(seed)
+            t = build_decomposition(g)
+            cycles = enumerate_cycles(g)
+            for solve, want in ((mean_value, min_mean_by_enumeration), (ratio_value, min_ratio_by_enumeration)):
+                stats = SearchStats()
+                assert solve(g, t, stats)[0] == want(cycles), (cap, seed, solve.__name__)
+                total += stats.decisions
+                worst = max(worst, stats.decisions)
+    # bisecting to width 1/D**2 and verifying took 4678 sweeps, 19 at worst
+    assert total <= 3300 and worst <= 16, (total, worst)
+    # wt' up to 300 puts denominators in the hundreds, whose continued
+    # fractions have partial quotients (runs of same-side steps) up to 386
+    monkeypatch.setattr(ratio, "_newton_cap", lambda n, w_max, t_max: 0)
+    for seed in range(150):
+        g = sc_ktree(seed, wtp=(1, 300))
+        stats = SearchStats()
+        val, _ = ratio_value(g, build_decomposition(g), stats)
+        assert val == min_ratio_by_enumeration(enumerate_cycles(g)), seed
+        assert _within_criterion_7(val, stats), (seed, stats.decisions)
 
 
 def _ring(n, seed):
