@@ -7,33 +7,36 @@ bag is additionally the *root bag* of at most one node, where the root bag
 of ``u`` is the smallest-level bag containing ``u``; the per-node traversal
 algorithms in this package rely on that.
 
-Construction is greedy min-degree elimination on the undirected skeleton,
-followed by bringing the tree to height O(log n). Elimination runs in
-rounds, as tree contraction does: each round takes an independent set of
-the nodes of least degree or of degree at most 2 (rake and compress), so a
-long sequence of blocks, as in structured control flow, a path or a forest
-is eaten from many places at once and its raw tree is already shallow. One
-comb makes every tree binary: :func:`_binarize` hangs the children of a bag
-with more than two under copies of it, lowest subtrees first, and the width
-is unchanged. A raw elimination tree whose combed tree is within the height
-bound is kept. A taller one, such as a long ladder's, is also rebuilt by
-divide and conquer over heavy paths: each produced bag is the union of at
-most three original bags, so the width grows to at most 3(w+1) - 1, and the
-same comb finishes it; the shallower of the two trees is kept.
+Construction is min-degree elimination on the undirected skeleton, in
+rounds, as tree contraction does. Each round takes an independent set of the
+nodes in a degree window, which starts at the least degree or at 2, so that
+leaves and path nodes go together (rake and compress), and widens until it
+holds an eighth of the live nodes. A node's parent bag is that of a
+neighbour eliminated in a later round, so the raw tree is no taller than the
+number of rounds, and inputs with few nodes of low degree, such as a long
+ladder, a k-path or a strip of grid, are eaten from many places at once.
+Balancing is then only a comb: :func:`_binarize` hangs the children of a
+bag with more than two under copies of it, lowest subtrees first, and
+:func:`_split_multi_rooted` gives every node its own root bag; neither
+changes the width.
 """
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 
 from .graph import InvariantError, WeightedDigraph, _gc_paused
 
-# Recorded height constant: after balancing (including the one-root-per-bag
-# chains) the tree height is asserted to be <= HEIGHT_FACTOR * ceil(log2 B) +
-# HEIGHT_FACTOR where B is the number of bags. Checked by the test suite. A
-# raw tree within HEIGHT_FACTOR * log2 n of height is kept, only binarized.
+# Recorded height constant: the test suite asserts that the raw elimination
+# trees of paths, forests, ladders, grid strips, k-trees and structured
+# control flow have height <= HEIGHT_FACTOR * log2 n. Wide graphs, such as
+# gen_cfg_like's, can exceed it, and nothing rebuilds their trees.
 HEIGHT_FACTOR = 6
+
+# An elimination round widens its degree window until it holds at least one
+# live node in this many. At 4 the k-tree workloads' trees change; 8, 12 and
+# 16 leave them unchanged, and 8 gives the shallowest trees.
+_WINDOW_SHARE = 8
 
 
 @dataclass
@@ -196,15 +199,16 @@ def _eliminate(g: WeightedDigraph):
 
     Eliminating ``u`` makes its live neighbours ``nb`` a clique, gives it the
     bag ``nb | {u}`` and, as parent, the bag of the first-eliminated node in
-    ``nb``. Each round reads the nodes of degree up to max(least degree, 2),
-    lowest degree first and node order within one, keeps each node that no
-    node already kept this round neighbours, and eliminates the kept ones in
-    that order: Liu's multiple minimum degree, widened by the rake and
-    compress rounds of tree contraction, so that a path or a forest has raw
-    height O(log n). Kept nodes are not adjacent, so eliminating one leaves
-    the others' neighbourhoods as the round found them. Degrees live in
-    buckets (degree -> set of nodes) and move once per round; a bucket is
-    deleted only when it empties.
+    ``nb``. A round's degree window starts at max(least degree, 2) and
+    widens until it holds at least one live node in ``_WINDOW_SHARE``; the
+    round reads the window's nodes, lowest degree first and node order within
+    one, keeps each node that no node kept this round neighbours, and
+    eliminates the kept ones in that order. This is Liu's multiple minimum
+    degree widened into tree contraction's rake and compress rounds, so
+    paths, forests, ladders and k-paths get raw height O(log n). Kept nodes
+    are not adjacent, so eliminating one leaves the others' neighbourhoods
+    as the round found them. Degrees live in buckets (degree -> set of
+    nodes) and move once per round; a bucket is deleted only when it empties.
     """
     n = g.n
     adj = _skeleton(g)
@@ -215,11 +219,16 @@ def _eliminate(g: WeightedDigraph):
     buckets: dict[int, set[int]] = {}
     for u, d in enumerate(deg):
         buckets.setdefault(d, set()).add(u)
+    live = n
     while buckets:
         least = min(buckets)
+        top, held = least, len(buckets[least])
+        while top < 2 or _WINDOW_SHARE * held < live:
+            top += 1
+            held += len(buckets.get(top, ()))
         chosen: list[int] = []
         touched: set[int] = set()  # live neighbours of the chosen nodes
-        for d in range(least, max(least, 2) + 1):
+        for d in range(least, top + 1):
             bucket = buckets.get(d, set())
             for u in sorted(bucket):
                 if u not in touched:
@@ -228,6 +237,7 @@ def _eliminate(g: WeightedDigraph):
                     bucket.discard(u)  # the skipped nodes wait for the next round
             if not bucket:
                 buckets.pop(d, None)
+        live -= len(chosen)
         for u in chosen:
             nb = adj[u]  # not copied: once u leaves its neighbours' sets, nothing adds to it
             elim_pos[u] = len(bags)
@@ -282,21 +292,15 @@ def build_decomposition(
 
 @_gc_paused
 def balance_and_binarize(t: TreeDecomposition) -> TreeDecomposition:
-    """A normalized binary tree of height O(log n) for ``t``.
+    """``t`` combed into a normalized binary tree of the same width.
 
-    ``t`` is first combed by :func:`_binarize` and :func:`_split_multi_rooted`,
-    which keep the width, and that tree is returned if its height is within
-    HEIGHT_FACTOR * log2 n. Otherwise the shallower of it and the rebuild by
-    :func:`_heavy_path_balance` (width <= 3*(width+1) - 1) is returned. Of the
-    trees the library builds, those of long ladders need the rebuild, since
-    elimination eats a ladder from its two ends only; on wide graphs the
-    rebuild chains the root bag's many nodes and can come out taller.
+    :func:`_binarize` gives every bag at most two children and
+    :func:`_split_multi_rooted` gives every node its own root bag; neither
+    changes what a bag holds. The logarithmic height comes from elimination,
+    whose rounds eat the input from many places at once; nothing here
+    rebalances, so a tall tree that a caller builds by hand stays tall.
     """
-    fit = _split_multi_rooted(_binarize(t))
-    if fit.height <= HEIGHT_FACTOR * math.log2(max(t.n_nodes, 1)):
-        return fit
-    rebuilt = _heavy_path_balance(t)
-    return rebuilt if rebuilt.height < fit.height else fit
+    return _split_multi_rooted(_binarize(t))
 
 
 def _binarize(t: TreeDecomposition) -> TreeDecomposition:
@@ -326,51 +330,6 @@ def _binarize(t: TreeDecomposition) -> TreeDecomposition:
                 heapq.heappush(subs, (max(h1, h2) + 1, copy))
         height[b] = 1 + max(h for h, _ in subs) if subs else 0
     return TreeDecomposition(bags, parent, t.n_nodes)
-
-
-def _heavy_path_balance(t: TreeDecomposition) -> TreeDecomposition:
-    """Rebuild ``t`` with height O(log n) and width <= 3*(width+1) - 1.
-
-    Divide and conquer on heavy paths. For the subtree hanging below a bag r:
-    walk the heavy path r = b_0 .. b_t (always descending into the largest
-    child), then split the path segment [i..j] at a weighted median m into a
-    new bag B(b_i) | B(b_m) | B(b_j) whose two children handle [i..m-1] and
-    [m..j]. A one-bag segment keeps its original content and its side
-    subtrees (those off the heavy path) as direct children; each restarts the
-    recursion at its attachment bag and holds at most half of the current
-    subtree's bags, which bounds the height. The result gets the finish of a tree that fits:
-    :func:`_binarize`, whose combs are as low as any, then
-    :func:`_split_multi_rooted`.
-    """
-    size = [1] * len(t.bags)
-    for b in t.postorder():
-        p = t.parent[b]
-        if p is not None:
-            size[p] += size[b]
-    bags: list[frozenset[int]] = []
-    parent: list[int | None] = []
-    work: list[tuple[int, int | None]] = [(t.root, None)]  # (old bag, new parent)
-    while work:
-        b, top = work.pop()
-        path = [b]
-        while t.children[path[-1]]:
-            path.append(max(t.children[path[-1]], key=lambda c: (size[c], -c)))
-        # pre[l]: the bags on path[:l] and in the subtrees hanging off them
-        pre = [size[b] - size[p] for p in path] + [size[b]]
-        segs = [(0, len(path) - 1, top)]
-        while segs:
-            i, j, top = segs.pop()
-            parent.append(top)
-            nid = len(bags)
-            if i == j:
-                bags.append(t.bags[path[i]])
-                work.extend((c, nid) for c in t.children[path[i]] if c not in path[i + 1 : i + 2])
-                continue
-            # Weighted median split: both halves as close as possible.
-            m = min(range(i + 1, j + 1), key=lambda k: max(pre[k] - pre[i], pre[j + 1] - pre[k]))
-            bags.append(t.bags[path[i]] | t.bags[path[m]] | t.bags[path[j]])
-            segs += [(i, m - 1, nid), (m, j, nid)]
-    return _split_multi_rooted(_binarize(TreeDecomposition(bags, parent, t.n_nodes)))
 
 
 def _split_multi_rooted(t: TreeDecomposition) -> TreeDecomposition:

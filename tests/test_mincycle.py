@@ -12,7 +12,7 @@ from graphvalues.graph import INF, WeightedDigraph
 from graphvalues.mincycle import min_cycle
 from graphvalues.oracles import enumerate_cycles, min_cycle_weight_by_enumeration
 from graphvalues.ratio import SearchStats, mean_value, ratio_value
-from graphvalues.treedec import _binarize, _heavy_path_balance, build_decomposition
+from graphvalues.treedec import _binarize, build_decomposition
 
 
 def test_triangle_exact(triangle):
@@ -76,7 +76,7 @@ def test_peak_maps_within_height_budget_on_a_large_2_tree():
     # a depth-first postorder holds at most one finished map per level
     g = gen_ktree(10_000, 2, seed=1)
     raw = build_decomposition(g, balance=False)
-    for t in (build_decomposition(g), _binarize(raw), _heavy_path_balance(raw)):
+    for t in (build_decomposition(g), _binarize(raw), reversed_tree(g)):
         r = min_cycle(g, t)
         assert r.peak_maps <= t.height + 1, (r.peak_maps, t.height)
 
@@ -156,12 +156,12 @@ def _pinned_rows(balanced):
 
 def test_sweep_results_are_pinned():
     """Every MinCycleResult field, negative undershoots included, is pinned
-    by a digest of the results on heavy-path balanced and raw trees, and by a
-    second digest on the default trees, which keep a raw tree that fits the
-    height bound. The value, height and exact columns are those the
-    uncompiled dict sweep gave; peak_maps follows the depth-first postorder."""
-    heavy = _pinned_rows(lambda g, raw: _heavy_path_balance(raw))
-    assert heavy == "125fc7e571664ec58702c69137c212f3eace2848c4a623c894c955882062b837"
+    by a digest of the results on reversed and raw trees, and by a second
+    digest on the default trees, which comb the raw tree. The default
+    digest's value, height and exact columns are those the uncompiled dict
+    sweep gave; peak_maps follows the depth-first postorder."""
+    reversed_ = _pinned_rows(lambda g, raw: reversed_tree(g))
+    assert reversed_ == "3d8c125b3b4f56e4e3d657b88b8487ad9cf4c3e8c68dada9806eb0aa38ef2e98"
     default = _pinned_rows(lambda g, raw: build_decomposition(g))
     assert default == "ca266b031c537ef33a62d265eab2d79d12ee96215cf87adc8dee50bbc2c49680"
 

@@ -6,9 +6,8 @@ import random
 from collections import deque
 
 import pytest
-from conftest import sc_ktree, small_random
+from conftest import reversed_tree, sc_ktree, small_random
 
-from graphvalues import treedec
 from graphvalues.energy import energy_values
 from graphvalues.energy_tw import energy_values_tw
 from graphvalues.generate import gen_cfg_like, gen_ktree, gen_sparse_random
@@ -17,10 +16,8 @@ from graphvalues.oracles import karp_mean
 from graphvalues.ratio import mean_values_all_nodes, ratio_values_all_nodes, values_all_nodes
 from graphvalues.treedec import (
     HEIGHT_FACTOR,
+    _WINDOW_SHARE,
     TreeDecomposition,
-    _binarize,
-    _heavy_path_balance,
-    _split_multi_rooted,
     balance_and_binarize,
     build_decomposition,
     decomposition_to_text,
@@ -87,17 +84,12 @@ def test_unbalanced_build_is_valid_unnormalized():
 
 
 def test_width_bound_on_2_trees():
-    # Balancing may triple bag sizes: width <= 3*(w+1) - 1 = 8 for w = 2;
-    # a raw tree that fits the height bound is only binarized and keeps 2.
-    fit = 0
+    # the raw trees fit the height bound, and combing keeps their width 2
     for seed in range(8):
         g = gen_ktree(50, 2, seed=seed)
-        t = build_decomposition(g)
-        assert t.width <= 8, (seed, t.width)
-        if build_decomposition(g, balance=False).height <= HEIGHT_FACTOR * math.log2(g.n):
-            assert t.width == 2, seed
-            fit += 1
-    assert fit == 8
+        raw = build_decomposition(g, balance=False)
+        assert raw.height <= HEIGHT_FACTOR * math.log2(g.n), seed
+        assert build_decomposition(g).width == raw.width == 2, seed
 
 
 def test_height_bound_logarithmic():
@@ -136,99 +128,66 @@ def test_star_bag_gets_a_logarithmic_comb(d):
     assert t.height <= math.ceil(math.log2(d)) + 1, t.height
 
 
-def _chain(n):
-    """The path 0 - 1 - ... - n-1 eaten from one end: bag {i, i+1} under
-    bag {i+1, i+2}, a tree of height n - 1."""
-    g = WeightedDigraph.from_edges(n, [(i, i + 1, 1) for i in range(n - 1)])
-    bags = [{i, i + 1} for i in range(n - 1)] + [{n - 1}]
-    return g, TreeDecomposition(bags, list(range(1, n)) + [None], n)
+def _two_cycles(n, pairs, seed):
+    """A 2-cycle of seeded weights in -12..1 on every pair: few nodes have
+    energy 0, so the reference energy solver is quick."""
+    rng = random.Random(seed)
+    wt = (-12, 1)
+    edges = [e for u, v in pairs for e in ((u, v, rng.randint(*wt)), (v, u, rng.randint(*wt)))]
+    return WeightedDigraph.from_edges(n, edges)
 
 
-def _ladder(rungs, pendants=0, wt=(-12, 1)):
+def _ladder(rungs, pendants=0):
     """Two rails of 2-cycles, 0..rungs-1 and rungs..2*rungs-1, joined by a
     2-cycle rung at every position, plus `pendants` pendant 2-cycles on every
-    fifth node of the first rail. Its treewidth is 2, but elimination eats it
-    from its two ends only, so its raw height is `rungs`."""
-    rng = random.Random(rungs)
+    fifth node of the first rail. Its treewidth is 2, but only its corners
+    have degree 2."""
     n = 2 * rungs
     pairs = [(u, u + rungs) for u in range(rungs)]
     pairs += [(u, u + 1) for u in range(n - 1) if u != rungs - 1]
     for u in range(0, rungs, 5):
         pairs += [(u, v) for v in range(n, n + pendants)]
         n += pendants
-    edges = [e for u, v in pairs for e in ((u, v, rng.randint(*wt)), (v, u, rng.randint(*wt)))]
-    return WeightedDigraph.from_edges(n, edges)
+    return _two_cycles(n, pairs, rungs)
 
 
-def _count_rebuilds(monkeypatch):
-    """The trees handed to the heavy-path rebuild from now on."""
-    rebuilt = []
-    real = treedec._heavy_path_balance
-    monkeypatch.setattr(treedec, "_heavy_path_balance", lambda t: rebuilt.append(t) or real(t))
-    return rebuilt
+def _k_path(n, k):
+    """Every node joined to the k before it: a k-tree that is a path of
+    (k+1)-cliques, whose inner nodes all have degree 2k."""
+    return _two_cycles(n, [(u, v) for v in range(n) for u in range(max(0, v - k), v)], n)
 
 
-def test_tall_raw_tree_falls_back_to_heavy_paths(monkeypatch):
-    for n in (64, 256):
-        g, raw = _chain(n)
-        assert raw.height > HEIGHT_FACTOR * math.log2(n)
-        t = balance_and_binarize(raw)
-        heavy = _heavy_path_balance(raw)
-        assert (t.bags, t.parent) == (heavy.bags, heavy.parent)
-    g = _ladder(2000)
-    raw = build_decomposition(g, balance=False)
-    assert raw.width == 2 and raw.height == 2000 > HEIGHT_FACTOR * math.log2(g.n)
-    rebuilt = _count_rebuilds(monkeypatch)
-    t = build_decomposition(g)
-    assert len(rebuilt) == 1 and validate(t, g) is None
-    assert t.height <= HEIGHT_FACTOR * math.ceil(math.log2(len(t.bags))) + HEIGHT_FACTOR
+def _grid(rows, cols):
+    """A rows x cols grid: treewidth `rows`, and degree at least 3 off the
+    corners."""
+    pairs = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    pairs += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return _two_cycles(rows * cols, pairs, cols)
 
 
-def test_wide_graph_keeps_the_binarized_tree_when_the_rebuild_is_taller():
-    g = gen_sparse_random(400, 1.5, seed=0)
-    raw = build_decomposition(g, balance=False)
-    fit = _split_multi_rooted(_binarize(raw))
-    heavy = _heavy_path_balance(raw)
-    assert HEIGHT_FACTOR * math.log2(g.n) < fit.height < heavy.height
-    assert fit.width < heavy.width
-    t = balance_and_binarize(raw)
-    assert (t.bags, t.parent) == (fit.bags, fit.parent)
-    assert validate(t, g) is None
-
-
-def test_raw_tree_that_outgrows_the_bound_when_binarized_falls_back():
-    # A spider: centre 0 and three legs of `leg` nodes. Its chain tree has
-    # height `leg`, just within the bound; the root's three equally deep
-    # branches make the binarized tree one level taller, just over it.
-    leg = 41
-    n = 3 * leg + 1
-    edges, bags, parent = [], [{0}], [None]
-    for i in range(3):
-        prev, prev_bag = 0, 0
-        for j in range(leg):
-            u = 1 + i * leg + j
-            edges.append((prev, u, 1))
-            bags.append({prev, u})
-            parent.append(prev_bag)
-            prev, prev_bag = u, len(bags) - 1
-    g = WeightedDigraph.from_edges(n, edges)
-    raw = TreeDecomposition(bags, parent, n)
-    limit = HEIGHT_FACTOR * math.log2(n)
-    assert raw.height <= limit < _binarize(raw).height
-    t = balance_and_binarize(raw)
-    heavy = _heavy_path_balance(raw)
-    assert (t.bags, t.parent) == (heavy.bags, heavy.parent)
-    assert validate(t, g) is None and t.height <= limit
+def _recent_k_tree(n, k):
+    """A k-tree in which each new node joins one of the 4 k-cliques made
+    last, so it grows like a path of width k."""
+    rng = random.Random(n)
+    pairs = [(u, v) for v in range(k) for u in range(v)]
+    cliques = [tuple(range(k))]
+    for v in range(k, n):
+        clique = cliques[-1 - rng.randrange(min(4, len(cliques)))]
+        pairs += [(u, v) for u in clique]
+        cliques += [tuple(u for u in clique if u != out) + (v,) for out in clique]
+    return _two_cycles(n, pairs, n)
 
 
 def _replay_rounds(g, raw):
     """Replay ``raw``'s elimination order on g's skeleton and split it into
-    rounds: a round runs while the next node has degree at most
-    max(least degree, 2), comes later in (degree, node) order and neighbours
-    no node taken this round, so each round's picks are independent by
-    construction. Asserts that every round takes at least one node, that a
-    node of such a degree is left out only when an earlier pick neighbours
-    it, and the bag rule; returns the number of rounds."""
+    rounds. A round's window ends at the least degree, at least
+    max(least degree, 2), that an eighth of the live nodes do not exceed; a
+    round runs while the next node has degree within the window, comes later
+    in (degree, node) order and neighbours no node taken this round, so each
+    round's picks are independent by construction. Asserts that every round
+    takes at least one node, that a node within the window is left out only
+    when an earlier pick neighbours it, and the bag rule; returns the number
+    of rounds."""
     assert len(raw.bags) == g.n
     last = {}
     for i, bag in enumerate(raw.bags):
@@ -243,7 +202,8 @@ def _replay_rounds(g, raw):
             adj[v].add(u)
     live, i, rounds = set(range(g.n)), 0, 0
     while i < g.n:
-        cap = max(min(len(adj[u]) for u in live), 2)
+        degrees = sorted(len(adj[u]) for u in live)
+        cap = max(degrees[0], 2, degrees[-(-len(live) // _WINDOW_SHARE) - 1])
         key = {u: (len(adj[u]), u) for u in live if len(adj[u]) <= cap}
         picks = []
         while i < g.n:
@@ -365,40 +325,52 @@ def _caterpillar(spine=10_000, legs=4):
     ],
     ids=["path", "broom", "caterpillar"],
 )
-def test_paths_and_forests_get_shallow_raw_trees(monkeypatch, make):
+def test_paths_and_forests_get_shallow_raw_trees(make):
     # each round rakes the leaves and compresses an independent set of the
     # degree-2 nodes, so the raw tree already fits and is only binarized
     g = make()
     raw = build_decomposition(g, balance=False)
     assert raw.width <= 2
     assert raw.height <= HEIGHT_FACTOR * math.log2(g.n), raw.height
-    rebuilt = _count_rebuilds(monkeypatch)
     t = build_decomposition(g)
-    assert rebuilt == [] and t.width == raw.width
+    assert t.width == raw.width
     assert validate(t, g) is None
 
 
-def test_ladder_gets_the_heavy_path_rebuild_finished_by_binarize(monkeypatch):
-    # few of its nodes have energy 0, so the reference solvers are quick
-    g = _ladder(100, pendants=3)
-    raw = build_decomposition(g, balance=False)
-    assert raw.height == 100 > HEIGHT_FACTOR * math.log2(g.n)
-    combed = []
-    monkeypatch.setattr(treedec, "_binarize", lambda t: combed.append(t) or _binarize(t))
-    t = build_decomposition(g)
-    # the raw tree is combed first; the rebuild, which is shallower, leaves
-    # bags of more than two children, combed too
-    assert len(combed) == 2 and (combed[0].bags, combed[0].parent) == (raw.bags, raw.parent)
-    assert max(len(c) for c in combed[1].children) > 2
-    assert validate(t, g, normalized=True) is None
-    assert t.height <= HEIGHT_FACTOR * math.ceil(math.log2(len(t.bags))) + HEIGHT_FACTOR
-    assert t.width <= 3 * (raw.width + 1) - 1
-    assert mean_values_all_nodes(g) == values_all_nodes(g, karp_mean)
-    assert energy_values_tw(g, t) == energy_values(g)
+_STALLED = {  # family: (treewidth, instance of about the given size)
+    "ladder": (2, lambda n: _ladder(n // 2)),
+    "ladder with pendants": (2, lambda n: _ladder(n // 2, pendants=3)),
+    "2-path": (2, lambda n: _k_path(n, 2)),
+    "3-path": (3, lambda n: _k_path(n, 3)),
+    "4-path": (4, lambda n: _k_path(n, 4)),
+    "3 x L grid": (3, lambda n: _grid(3, n // 3)),
+    "5 x L grid": (5, lambda n: _grid(5, n // 5)),
+    "recent 2-tree": (2, lambda n: _recent_k_tree(n, 2)),
+    "recent 3-tree": (3, lambda n: _recent_k_tree(n, 3)),
+}
 
 
-def _heavy(g):
-    return _heavy_path_balance(build_decomposition(g, balance=False))
+def test_families_with_few_low_degree_nodes_get_shallow_raw_trees():
+    # Rounds that stopped at degree max(least, 2) took a handful of nodes
+    # from these (a ladder's four corners), so their raw trees were as tall
+    # as the input is long; a window holding an eighth of the live nodes
+    # makes the raw tree shallow, at width within 3(k+1) - 1.
+    for family, (k, make) in _STALLED.items():
+        g = make(4000)
+        raw = build_decomposition(g, balance=False)
+        assert validate(raw, g, normalized=False) is None, family
+        assert raw.height <= HEIGHT_FACTOR * math.log2(g.n), (family, raw.height)
+        assert raw.width <= 3 * (k + 1) - 1, (family, raw.width)
+        small = make(60)
+        t = build_decomposition(small)
+        assert validate(t, small) is None, family
+        assert mean_values_all_nodes(small) == values_all_nodes(small, karp_mean), family
+        assert energy_values_tw(small, t) == energy_values(small), family
+
+
+def _one_bag(g):
+    """The whole graph in one bag, combed: a chain of n nested bags."""
+    return balance_and_binarize(TreeDecomposition([range(g.n)], [None], g.n))
 
 
 def _differential_graphs():
@@ -408,22 +380,24 @@ def _differential_graphs():
         yield gen_sparse_random(60, 1, seed=seed, wt=(-5, 10), wtp=(1, 4))
 
 
-def test_values_on_fit_trees_match_heavy_path_trees():
-    kept = several = 0
+def test_values_match_on_reversed_and_one_bag_trees():
+    several = 0
     for g in _differential_graphs():
-        kept += build_decomposition(g).width < _heavy(g).width
         several += sum(len(c) > 1 for c in tarjan_scc(g).components) > 1
+        one = _one_bag(g)
+        assert one.width == one.height == g.n - 1 and validate(one, g) is None
         means = mean_values_all_nodes(g)
-        assert means == mean_values_all_nodes(g, _heavy)
-        assert means == values_all_nodes(g, karp_mean)
         ratios = ratio_values_all_nodes(g)
-        assert ratios == ratio_values_all_nodes(g, _heavy)
+        credits = energy_values_tw(g, build_decomposition(g))
+        for shape in (reversed_tree, _one_bag):
+            assert means == mean_values_all_nodes(g, shape)
+            assert ratios == ratio_values_all_nodes(g, shape)
+            assert credits == energy_values_tw(g, shape(g))
+        assert means == values_all_nodes(g, karp_mean)
         if all(wp == 1 for wp in g.wtp):
             assert ratios == means
-        credits = energy_values_tw(g, build_decomposition(g))
-        assert credits == energy_values_tw(g, _heavy(g))
         assert credits == energy_values(g)
-    assert (kept, several) == (18, 6)
+    assert several == 6
 
 
 def test_every_bag_roots_at_most_one_node():
@@ -541,11 +515,12 @@ def test_bags_are_separators():
 
 def test_elimination_trees_are_pinned():
     """The raw elimination trees, bag for bag, so the elimination order stays
-    as it is: rounds of independent nodes of degree at most max(least
-    degree, 2), taken lowest degree first and in node order within one."""
+    as it is: rounds of independent nodes within a degree window of at least
+    max(least degree, 2) that holds an eighth of the live nodes, taken
+    lowest degree first and in node order within one."""
     h = hashlib.sha256()
     for seed in range(4):
         for g in (gen_ktree(200, k=2 + seed % 2, seed=seed), gen_cfg_like(150, seed=seed)):
             t = build_decomposition(g, balance=False)
             h.update(decomposition_to_text(t).encode())
-    assert h.hexdigest() == "ef0535943a7717d92e9999721e705f5ef8b1e25f592d3229eada94d755b48363"
+    assert h.hexdigest() == "affe53e76ca44c55924651123eddcc18df586c36a3472ba5ca6a7d8e30ccd9f9"
