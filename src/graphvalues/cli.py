@@ -44,7 +44,7 @@ from .ratio import (
 from .treedec import build_decomposition, decomposition_to_text, validate
 
 EXIT_OK, EXIT_INPUT, EXIT_INTERNAL, EXIT_NO = 0, 1, 2, 3
-_STAT_PHASES = ("zero-test", "newton", "rational-refine", "decide", "sweep", "bisect")
+_STAT_PHASES = ("zero-test", "newton", "rational-refine", "decide", "bisect")
 
 
 def _frac_text(v) -> str:
@@ -136,11 +136,12 @@ def _decide_disagreement(g, credits: list) -> str | None:
 
 
 def _value_decide_disagreement(problem: str, g, values: list) -> str | None:
-    """Where ``decide_mean_geq`` or ``decide_ratio_geq`` contradicts the
-    per-node values, or None.
+    """Where ``decide_mean_geq`` or ``decide_ratio_geq``, or for the mean
+    ``approx_mean`` at eps = 1/10, contradicts the per-node values, or None.
 
     It is asked about the graph's value, the least per-node value nu = p/q:
-    the answer is yes at nu - 1/(2q) and at nu, and no at nu + 1/(2q).
+    the answer is yes at nu - 1/(2q) and at nu, and no at nu + 1/(2q), and
+    the approximation lies within |nu|/10 of nu.
     """
     finite = [v for v in values if v != INF]
     if not finite:
@@ -152,6 +153,9 @@ def _value_decide_disagreement(problem: str, g, values: list) -> str | None:
     for x in (nu - half, nu, nu + half):
         if decide(g, t, x) != (x <= nu):
             return f"value={_frac_text(nu)} nu={_frac_text(x)} decide={'no' if x <= nu else 'yes'}"
+    mu = approx_mean(g, t, Fraction(1, 10))[0] if problem == "mean" else nu
+    if abs(mu - nu) > abs(nu) / 10:
+        return f"value={_frac_text(nu)} approx={_frac_text(mu)}"
     return None
 
 
@@ -358,7 +362,8 @@ def _cmd_bench(args) -> int:
 def _cmd_selftest(args) -> int:
     """bench's cross-check of every algorithm of every problem, on seeded
     small k-trees, sparse random graphs and kill-heavy k-trees; each
-    problem's decision procedure is checked against the agreed values."""
+    problem's decision procedure, and approx_mean, is checked against the
+    agreed values."""
     from .generate import gen_ktree, gen_sparse_random
 
     checked = 0

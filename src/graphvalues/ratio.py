@@ -44,9 +44,9 @@ the first run bisects the integer part under ceil(lam), and each later run
 gallops (doubling, then bisecting) along one run of same-side steps, so
 nu* = a/b takes O(log(ceil(lam) - lo) + log b) sweeps. A probe that reads
 0 is nu*; passing denominator D raises InvariantError. The approximate mean
-bisects plain midpoints to a relative width. All sweeps are counted in
-SearchStats by phase: zero-test, newton, rational-refine for the value;
-decide; sweep and bisect for the approximation.
+runs the same zero test and Newton steps under its own cap (approx_mean)
+and bisects its bracket past it. All sweeps are counted in SearchStats by
+phase: zero-test, newton, rational-refine, decide and bisect.
 """
 from __future__ import annotations
 
@@ -88,46 +88,37 @@ class _RatioSearch:
         self.g = g
         self.t = t if t is not None else build_decomposition(g)
         self.stats = stats if stats is not None else SearchStats()
-        self.wt = g.wt  # approx_mean rebinds it, never edits it
         self.wtp = [1] * g.m if unit_wtp else g.wtp
         self.acyclic = f"graph has no cycle; {'mean' if unit_wtp else 'ratio'} value undefined"
         self.t_max = max(self.wtp, default=1)
         self.pack = 2 ** (self.t_max.bit_length() + self.t.height + 3)
 
-    def sweep(self, lam: Fraction, phase: str):
-        """One packed sweep at lam: None when the graph is acyclic, else
-        (c, r) with c the sweep's reweighted value and r its MinCycleResult."""
-        p, q = lam.numerator, lam.denominator
-        k = self.pack
-        a, b = q * k, p * k - 1  # (q*wt - p*wt')*k + wt' = a*wt - b*wt'
-        w = [a * x - b * y for x, y in zip(self.wt, self.wtp)]
-        r = min_cycle(self.g, self.t, weights=w)
-        self.stats.record(phase, lam)
-        return None if r.value == INF else (r.value // k, r)
-
-    def sign(self, nu: Fraction, phase: str):
-        """cmp(nu*, nu): +1 / 0 / -1, or None when the graph is acyclic."""
-        found = self.sweep(nu, phase)
-        return None if found is None else (found[0] > 0) - (found[0] < 0)
-
     def step(self, lam: Fraction, phase: str):
         """One packed sweep at lam: None when the graph is acyclic, else
         (c, lam') with c the sweep's reweighted value and lam' the smallest
         ratio among the closed walks it read (None when c = 0)."""
-        found = self.sweep(lam, phase)
-        if found is None:
+        p, q = lam.numerator, lam.denominator
+        k = self.pack
+        a, b = q * k, p * k - 1  # (q*wt - p*wt')*k + wt' = a*wt - b*wt'
+        w = [a * x - b * y for x, y in zip(self.g.wt, self.wtp)]
+        r = min_cycle(self.g, self.t, weights=w)
+        self.stats.record(phase, lam)
+        if r.value == INF:
             return None
-        c, r = found
+        c = r.value // k
         if c == 0:
             return 0, None
-        k = self.pack
         best_c, best_s = divmod(r.closed_walks[0], k)
         for v in r.closed_walks:
             wc, ws = divmod(v, k)
             if wc * best_s < best_c * ws:
                 best_c, best_s = wc, ws
-        p, q = lam.numerator, lam.denominator
         return c, Fraction(best_c + p * best_s, q * best_s)
+
+    def sign(self, nu: Fraction, phase: str):
+        """cmp(nu*, nu): +1 / 0 / -1, or None when the graph is acyclic."""
+        found = self.step(nu, phase)
+        return None if found is None else (found[0] > 0) - (found[0] < 0)
 
 
 def _newton_cap(n: int, w_max: int, t_max: int) -> int:
@@ -136,31 +127,40 @@ def _newton_cap(n: int, w_max: int, t_max: int) -> int:
     return (w_max * (n * t_max) ** 2).bit_length() + 2
 
 
-def _search_value(s: _RatioSearch) -> Fraction:
+def _newton(s: _RatioSearch, cap: int, close=lambda c0, hi: False):
+    """The zero test, then at most cap Newton steps past the start, or fewer
+    once close(c0, hi) holds for the walk ratio hi next in line. Returns
+    (c0, lam, hi): c0 the zero test's value, lam the last lam swept, and
+    nu* <= hi < lam, or hi = lam = nu* when the last sweep read 0."""
     found = s.step(Fraction(0), "zero-test")
     if found is None:
         raise ValueError(s.acyclic)
-    lam = Fraction(0)
-    c, nxt = found
-    positive = c > 0
-    if positive:  # nxt is a closed walk's ratio, so nu* <= nxt
-        lam = nxt
-        c, nxt = s.step(lam, "newton")
-    cap = _newton_cap(s.g.n, max(1, s.g.max_abs_weight()), s.t_max)
+    c0, hi = found
+    lam, c = Fraction(0), c0
+    if c0 > 0:  # hi is a closed walk's ratio, so nu* <= hi
+        lam = hi
+        c, hi = s.step(lam, "newton")
     steps = 0
-    while c < 0:
-        if steps == cap:  # lo < nu* < lam, as min wt/wt' <= nu* when not positive
-            lo = 0 if positive else min(a // b for a, b in zip(s.wt, s.wtp)) - 1
-            d_max = s.g.n * s.t_max  # bounds the wt' sum of a cycle
-            return _stern_brocot(lambda x: s.sign(x, "rational-refine"), lo, math.ceil(lam), d_max)
-        if not nxt < lam:
+    while c < 0 and steps < cap and not close(c0, hi):
+        if not hi < lam:
             raise InvariantError("a Newton step failed to lower the ratio value")
-        lam = nxt
-        c, nxt = s.step(lam, "newton")
+        lam = hi
+        c, hi = s.step(lam, "newton")
         steps += 1
-    if c != 0:
+    if c > 0:
         raise InvariantError("the Newton search ended on a positive sweep")
-    return lam
+    return c0, lam, lam if c == 0 else hi
+
+
+def _search_value(s: _RatioSearch) -> Fraction:
+    cap = _newton_cap(s.g.n, max(1, s.g.max_abs_weight()), s.t_max)
+    c0, lam, hi = _newton(s, cap)
+    if hi == lam:
+        return lam
+    # lo < nu* < lam, as min wt/wt' <= nu* when not positive
+    lo = 0 if c0 > 0 else min(a // b for a, b in zip(s.g.wt, s.wtp)) - 1
+    d_max = s.g.n * s.t_max  # bounds the wt' sum of a cycle
+    return _stern_brocot(lambda x: s.sign(x, "rational-refine"), lo, math.ceil(lam), d_max)
 
 
 def _stern_brocot(sign, lo: int, hi: int, d_max: int) -> Fraction:
@@ -267,56 +267,55 @@ def mean_values_all_nodes(g: WeightedDigraph, t_builder=None, stats=None) -> lis
 # -- approximation ---------------------------------------------------------------
 
 
+def _approx_cap(n: int, eps: Fraction) -> int:
+    """Newton steps approx_mean allows before it bisects: ceil(log2(n/eps)) + 2."""
+    return (math.ceil(n / eps) - 1).bit_length() + 2
+
+
 def approx_mean(
     g: WeightedDigraph,
     t: TreeDecomposition | None = None,
     eps=Fraction(1, 10),
     stats: SearchStats | None = None,
 ) -> tuple[Fraction, SearchStats]:
-    """Mean value within relative error eps in O(log(n/eps)) decision sweeps.
+    """Mean value mu* within relative error eps in O(log(n/eps)) sweeps.
 
-    One sweep at 0 classifies the sign of the value. A nonnegative sweep
-    value c is bisected directly on [0, c]. For a negative c the weights are
-    shifted by |c| (making every cycle mean nonnegative), the precision is
-    tightened by the sweep's worst-case undershoot factor alpha, and the
-    result is shifted back. Bisection stops once the bracket is narrower
-    than eps' times a lower bound on the (shifted) value, so the returned
-    right endpoint obeys |mu - mu*| <= eps * |mu*|.
+    The zero test and at most _approx_cap(n, eps) Newton steps run as in
+    the exact search, and a sweep that reads 0 gives mu* exactly. Else
+    lo <= mu* <= hi for hi the last Newton point (a closed walk's mean) and
+    mag <= |mu*|, with c the zero test's value: c > 0 gives lo = mag = c/n
+    (a cycle weighs >= c over <= n edges); c < 0 gives lo = c and
+    mag = max(|hi|, |c| / (n*m*2^h)), as c <= c* <= mu* < 0 for c* the
+    least cycle weight, |c| <= |c*| * m * 2^h (the sweep's undershoot) and
+    |c*| <= n * |mu*|. Once hi - lo <= eps * mag, hi is returned; past the
+    cap the bracket is bisected to that width, in at most ceil(log2(n/eps))
+    probes when c > 0 (as hi <= c) and ceil(log2(n*m*2^h/eps)) when c < 0.
     """
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
     s = _RatioSearch(g, t, stats, unit_wtp=True)
-    found = s.sweep(Fraction(0), "sweep")
-    if found is None:
-        raise ValueError(s.acyclic)
-    c = found[0]
-    if c == 0:
-        return Fraction(0), s.stats
+    undershoot = g.n * max(1, g.m) * 2**s.t.height
 
-    shift, eps_eff = Fraction(0), eps
-    if c < 0:
-        # Tightening eps by alpha = 1 + n*m*2^h covers the sweep's
-        # worst-case undershoot |c| <= |c*| * m * 2^h and |c*| <= n * |mu*|.
-        alpha = 1 + g.n * max(1, g.m) * 2**s.t.height
-        eps_eff = eps / alpha
-        shift = Fraction(-c)
-        s.wt = [a - c for a in s.wt]
-        c = s.sweep(Fraction(0), "sweep")[0]
-        if c < 0:
-            raise InvariantError("weight shift failed to clear negative cycles")
-        if c == 0:
-            return -shift, s.stats
+    def bracket(c0, hi):  # (lo, mag): lower bounds on mu* and on |mu*|
+        lo = Fraction(c0, g.n) if c0 > 0 else Fraction(c0)
+        return lo, max(lo, -hi, -lo / undershoot)
 
-    # shifted value >= c/n since |C| <= n
-    lo, hi, width = Fraction(0), Fraction(c), eps_eff * Fraction(c, g.n)
-    while hi - lo > width:
+    def close(c0, hi):
+        lo, mag = bracket(c0, hi)
+        return hi - lo <= eps * mag
+
+    c0, lam, hi = _newton(s, _approx_cap(g.n, eps), close)
+    if hi == lam:
+        return hi, s.stats
+    lo, mag = bracket(c0, hi)
+    while hi - lo > eps * mag:
         mid = (lo + hi) / 2
         sg = s.sign(mid, "bisect")
         if sg == 0:
-            return mid - shift, s.stats
+            return mid, s.stats
         if sg > 0:
             lo = mid
         else:
             hi = mid
-    return hi - shift, s.stats
+    return hi, s.stats

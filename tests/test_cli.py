@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -25,6 +26,7 @@ from graphvalues.graph import (
     to_dimacs,
 )
 from graphvalues.oracles import KARP_MAX_CELLS
+from graphvalues.ratio import approx_mean
 
 
 @pytest.fixture
@@ -93,6 +95,10 @@ def test_mean_approx(gadget_file, capsys):
     num, den = text.split("/")
     mu = int(num) / int(den)
     assert abs(mu - (-1.0)) <= 0.1
+    assert main(["mean", gadget_file, "--approx", "1/10", "--stats"]) == 0
+    out, err = capsys.readouterr()
+    assert "zero-test=1 newton=1" in err and "sweep=" not in err
+    assert out.strip() == "*\t-1/1"
 
 
 def test_ratio_values(ratio_file, capsys):
@@ -396,6 +402,21 @@ def test_selftest_checks_the_mean_and_ratio_decisions(monkeypatch, capsys, probl
     err = capsys.readouterr().err
     assert err.startswith(f"selftest mismatch ({problem} decide) seed=")
     assert len(asked) == 1
+
+
+def test_selftest_checks_the_approximation(monkeypatch, capsys):
+    asked = []
+
+    def wrong(g, t, eps):
+        asked.append(eps)
+        mu, stats = approx_mean(g, t, eps)
+        return mu - 1, stats
+
+    monkeypatch.setattr(cli, "approx_mean", wrong)
+    assert main(["selftest", "--count", "4", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("selftest mismatch (mean decide) seed=") and " approx=" in err
+    assert asked == [Fraction(1, 10)]
 
 
 def test_selftest_kills_in_several_rounds(monkeypatch, capsys):

@@ -37,7 +37,8 @@ def _solves():
 @pytest.mark.parametrize(
     "g",
     [
-        # every one has a negative mean, so approx_mean shifts its weights
+        # every one has a negative mean, so after the zero test each search
+        # sweeps weights reweighted at some lam < 0
         gen_ktree(14, 2, seed=3, wt=(-9, 4), wtp=(1, 4)),
         gen_ktree(10, 1, seed=5, wt=(-6, 6), wtp=(1, 3)),
         gen_sparse_random(9, 2, seed=2, wt=(-5, 5), wtp=(1, 2)),

@@ -301,7 +301,7 @@ _SWEEP_COUNTED = {
     "ratio": (ratio_value, {"zero-test", "newton"}),
     "fallback": (ratio_value, {"zero-test", "newton", "rational-refine"}),
     "decide": (lambda g, t, stats: decide_mean_geq(g, t, Fraction(-1, 3), stats), {"decide"}),
-    "approx": (lambda g, t, stats: approx_mean(g, t, Fraction(1, 10), stats), {"sweep", "bisect"}),
+    "approx": (lambda g, t, stats: approx_mean(g, t, Fraction(1, 10), stats), {"zero-test", "newton", "bisect"}),
 }
 
 
@@ -319,6 +319,8 @@ def test_each_decision_is_one_min_cycle_call(monkeypatch, case):
     monkeypatch.setattr(ratio, "min_cycle", counting)
     if case == "fallback":
         monkeypatch.setattr(ratio, "_newton_cap", lambda n, w_max, t_max: 0)
+    if case == "approx":  # Newton finishes on every seed here, so force the bisection
+        monkeypatch.setattr(ratio, "_approx_cap", lambda n, eps: 0)
     solve, want = _SWEEP_COUNTED[case]
     phases = set()
     for seed in range(20):
@@ -449,6 +451,63 @@ def test_approx_relative_error_and_step_budget():
             eps_eff = eps / (1 + g.n * base.blowup_bound(g.m))
             budget = math.ceil(math.log2(g.n) + math.log2(1 / eps_eff)) + 2
             assert stats.count("bisect") <= budget, (seed, eps)
+
+
+def _sc_2tree(n, seed, wt=(-10, 10)):
+    """A strongly connected 2-tree with no 2-cycle: a directed triangle, then
+    each new node v on a skeleton edge {a, b} gets the edges a -> v and
+    v -> b, so every cycle is longer than 2 edges."""
+    rng = random.Random(seed)
+    edges = [(0, 1), (1, 2), (2, 0)]
+    cliques = [(0, 1), (1, 2), (0, 2)]
+    for v in range(3, n):
+        a, b = rng.sample(rng.choice(cliques), 2)
+        edges += [(a, v), (v, b)]
+        cliques += [(a, v), (b, v)]
+    return WeightedDigraph.from_edges(n, [(u, v, rng.randint(*wt)) for u, v in edges])
+
+
+def test_approx_never_sweeps_more_than_the_exact_search():
+    epsilons = (Fraction(1, 2), Fraction(1, 10), Fraction(1, 100))
+    cases = [(sc_ktree(seed), epsilons) for seed in range(100)]
+    long_optimum = _sc_2tree(2000, seed=1)
+    assert len(tarjan_scc(long_optimum)) == 1
+    cases.append((long_optimum, (Fraction(1, 100),)))
+    total = 0
+    for g, eps_list in cases:
+        t = build_decomposition(g)
+        exact, exact_stats = mean_value(g, t)
+        for eps in eps_list:
+            stats = SearchStats()
+            mu, _ = approx_mean(g, t, eps, stats)
+            assert stats.decisions <= exact_stats.decisions, (g.n, eps)
+            if not stats.count("bisect"):
+                assert mu == exact, (g.n, eps)
+            total += stats.decisions
+    # 656 here, 654 of them on the k-trees, where shifting the weights by
+    # the zero test's value and bisecting took 2386
+    assert total <= 660, total
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_forced_bisection_keeps_the_error_bound_and_step_budget(monkeypatch, cap):
+    monkeypatch.setattr(ratio, "_approx_cap", lambda n, eps: cap)
+    bisected = 0
+    for wt in ((-20, 20), (-5000, 5000), (1, 20)):
+        for seed in range(100):
+            g = sc_ktree(seed, wt=wt)
+            t = build_decomposition(g)
+            mu_star = min_mean_by_enumeration(enumerate_cycles(g))
+            for eps in (Fraction(1, 2), Fraction(1, 10), Fraction(1, 100)):
+                stats = SearchStats()
+                mu, _ = approx_mean(g, t, eps, stats)
+                assert abs(mu - mu_star) <= eps * abs(mu_star), (wt, seed, eps)
+                eps_eff = eps / (1 + g.n * g.m * 2**t.height)  # criterion 5's budget
+                budget = math.ceil(math.log2(g.n) + math.log2(1 / eps_eff)) + 2
+                assert stats.count("bisect") <= budget, (wt, seed, eps)
+                assert stats.count("newton") <= cap + 1
+                bisected += stats.count("bisect") > 0
+    assert bisected >= 100, bisected
 
 
 def test_approx_exact_when_mean_is_zero():
