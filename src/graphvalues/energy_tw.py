@@ -3,8 +3,8 @@
 This mirrors :mod:`.energy` (same sink, same kill rule, same final
 shortest-path-to-sink step) but replaces every Bellman-Ford scan with
 bag-local work, and it never copies the input into an augmented graph: g's
-own edge lists are read as they are, and the sink edges and the redirected
-edges exist only as fold-set entries. Walks are summarized by *triples*
+own edge lists are read as they are, a sink edge is implied by its node and
+a redirected edge is one weight in a dict. Walks are summarized by *triples*
 (a, b, c): a is the walk weight, c the maximum prefix sum over the walk's
 eligible positions (every position whose node is not the sink z; the empty
 prefix counts), and b the anchor — a node attaining that maximum. A closed
@@ -34,22 +34,22 @@ A bag b rooting node x summarizes the best known walks between its nodes
 - the *row* ``(diag, outs)`` holds the (x, x) diagonal and the (x, v)
   entries as ``(v, triple)`` pairs, which the distance pass reads.
 
-A bag is recomputed from its children's exported maps and its fold set, a
-dict of the lifted triples of the edges folded there (each lifted once,
-when its edge is assigned or lowered): merge, fold, pop the entries that
-involve x, and close the pairs (u, x) + (x, v). Pairs through x itself are
-never closed: the parent does not contain x.
+A bag is recomputed from its children's exported maps and the edges folded
+there, read off x's adjacency in g: merge, fold (an edge is lifted only when
+its lift beats the merged entry, and no lift is stored), pop the entries
+that involve x, and close the pairs (u, x) + (x, v). Pairs through x itself
+are never closed: the parent does not contain x.
 
 Kills run in rounds. A round takes every anchor reported since the last
 one: each has zero energy, and kills do not change the energy of the
 surviving nodes, so all of them are killed at once, an anchor reported
-twice or already dead being skipped. Each kill touches only the bags where
-its deleted and redirected edges fold, and the round then recomputes the
-union of the touched bags' ancestor chains once, deepest first: O(touched *
-height) bag updates per round, however many kills it holds. Anchors
-reported during that repair form the next round. Every bag whose map holds
-a walk through a killed node is recomputed after the kill, so a
-non-positive cycle that survives the round reports itself again.
+twice or already dead being skipped. A kill edits no bag: it marks its node
+dead, lowers redirected weights and names the bags where its edges fold. The
+round then recomputes the union of those bags' ancestor chains once, deepest
+first: O(touched * height) bag updates per round, however many kills it
+holds. Anchors reported during that repair form the next round. Every bag
+whose map holds a walk through a killed node is recomputed after the kill,
+so a non-positive cycle that survives the round reports itself again.
 
 When no anchor is left, the weight parts of the rows are the min-plus
 closure of the final graph, so the distances to the sink are read off them
@@ -91,50 +91,74 @@ class TwStats:
 
 
 class _TwState:
-    """The energy solve on g and t: fold sets, exported maps, rows, reported
-    anchors, and the kills applied so far.
+    """The energy solve on g and t: exported maps, rows, reported anchors,
+    and the kills applied so far.
 
     The solved graph is g with every weight times ``sign``, plus the sink z =
     g.n with an edge (z, u) of weight 0 per node u. It is never built: g's
     edge lists stay as they are, ``alive`` marks the killed nodes, whose
     edges are gone, and ``to_z`` holds the weight of each redirected edge
-    (x, z).
+    (x, z). Bags lift their edges as they fold them, so kills edit no bag.
     """
 
     __slots__ = (
-        "g", "t", "stats", "z", "stride", "alive", "to_z",
-        "rooted", "exported", "rows", "fold", "hot",
+        "g", "t", "stats", "sign", "z", "stride", "alive", "to_z",
+        "rooted", "exported", "rows", "hot",
     )
 
     def __init__(self, g: WeightedDigraph, t: TreeDecomposition, sign: int, stats: TwStats):
         self.g = g
         self.t = t
         self.stats = stats
+        self.sign = sign
         self.z = z = g.n
-        self.stride = stride = z + 1
+        self.stride = z + 1
         self.alive = [True] * z
         self.to_z: dict[int, int] = {}
         nb = len(t.bags)
         self.rooted = [t.single_rooted(b) for b in range(nb)]
         self.exported: list = [None] * nb
         self.rows: list = [None] * nb
-        self.fold: list[dict] = [{} for _ in range(nb)]
-        fold, bags, level, root_bag_of = self.fold, t.bags, t.level, t.root_bag_of
-        for u, v, w in zip(g.src, g.dst, g.wt):
-            # fold_bag_of_edge and the lift of a real edge, inline
-            f = sign * w
+        bags, level, root_bag_of = t.bags, t.level, t.root_bag_of
+        for u, v in zip(g.src, g.dst):  # fold_bag_of_edge, inline
             bu, bv = root_bag_of[u], root_bag_of[v]
             b = bu if level[bu] >= level[bv] else bv
-            bag = bags[b]
-            if u not in bag or v not in bag:
+            if u not in bags[b] or v not in bags[b]:
                 raise InvariantError(f"edge ({u},{v}) not covered by fold bag {b}")
-            fold[b][u * stride + v] = (f, v, f) if f >= 0 else (f, u, 0)
-        base = z * stride
-        for u, b in enumerate(root_bag_of):
-            if b < 0:
-                raise InvariantError(f"node {u} is in no bag")
-            fold[b][base + u] = (0, u, 0)
+        if -1 in root_bag_of:
+            raise InvariantError(f"node {root_bag_of.index(-1)} is in no bag")
         self.hot: list[int] = []  # anchors of newly seen non-positive closed walks
+
+    def _fold(self, b: int, cur: dict):
+        """Merge into cur, each only if it beats cur's entry, the lifts of the edges
+        folded at b: those between b's node x and b's live nodes (x or rooted higher),
+        (z, x) and (x, z). Returns the self-loop's lift if it was merged."""
+        x = self.rooted[b]
+        if x is None or not self.alive[x]:
+            return None
+        g, alive, stride, sign = self.g, self.alive, self.stride, self.sign
+        src, dst, wt, bag = g.src, g.dst, g.wt, self.t.bags[b]
+        get, base, loop = cur.get, x * stride, None
+        for i in g.out[x]:
+            y = dst[i]
+            if y in bag and alive[y]:  # y is x or rooted higher
+                f, k = sign * wt[i], base + y
+                if (old := get(k)) is None or f < old[0]:
+                    cur[k] = tri = (f, y, f) if f >= 0 else (f, x, 0)
+                    loop = tri if y == x else loop
+        for i in g.inc[x]:
+            y = src[i]
+            if y in bag and alive[y]:  # the self-loop again, which ties
+                f, k = sign * wt[i], y * stride + x
+                if (old := get(k)) is None or f < old[0]:
+                    cur[k] = (f, x, f) if f >= 0 else (f, y, 0)
+        zx, xz = self.z * stride + x, base + self.z
+        if (old := get(zx)) is None or old[0] > 0:
+            cur[zx] = (0, x, 0)  # the sink never anchors
+        f = self.to_z.get(x)
+        if f is not None and ((old := get(xz)) is None or f < old[0]):
+            cur[xz] = (f, x, 0)
+        return loop
 
     def recompute_bag(self, b: int) -> None:
         exported = self.exported
@@ -146,11 +170,7 @@ class _TwState:
                 old = get(k)
                 if old is None or tri[0] < old[0]:
                     cur[k] = tri
-        fold = self.fold[b]
-        for k, tri in fold.items():
-            old = get(k)
-            if old is None or tri[0] < old[0]:
-                cur[k] = tri
+        loop = self._fold(b, cur)
         x = self.rooted[b]
         if x is None:
             exported[b] = cur
@@ -161,8 +181,8 @@ class _TwState:
         diag = pop(base + x, None)
         # a non-positive (x, x) out of a child map was reported where it was
         # made; only a self-loop folded here is new
-        if diag is not None and diag[0] <= 0 and fold.get(base + x) is diag:
-            self.hot.append(diag[1])
+        if loop is not None and diag is loop and loop[0] <= 0:
+            self.hot.append(loop[1])
         ins = []
         outs = []
         for v in (*self.t.bags[b], self.z):  # the sink is in every bag
@@ -202,34 +222,26 @@ class _TwState:
         self-loop among them. Each live in-edge (x, w) is redirected: (x, z)
         takes the lighter of its old weight and the weight of (x, w).
         """
-        g, t, stride, z, alive, to_z = self.g, self.t, self.stride, self.z, self.alive, self.to_z
-        src, dst, fold, level, root_bag_of = g.src, g.dst, self.fold, t.level, t.root_bag_of
+        g, t, alive, to_z = self.g, self.t, self.alive, self.to_z
+        src, dst, level, root_bag_of = g.src, g.dst, t.level, t.root_bag_of
         bw = root_bag_of[w]
         lw = level[bw]
-        del fold[bw][z * stride + w]
         touched.add(bw)
-        if to_z.pop(w, None) is not None:
-            del fold[bw][w * stride + z]
-        wbase = w * stride
+        to_z.pop(w, None)
         for i in g.out[w]:
             y = dst[i]
             if alive[y]:  # the self-loop too: w is still alive
                 by = root_bag_of[y]
-                b = bw if lw >= level[by] else by
-                del fold[b][wbase + y]
-                touched.add(b)
+                touched.add(bw if lw >= level[by] else by)
         alive[w] = False
         for i in g.inc[w]:
             x = src[i]
             if alive[x]:
                 bx = root_bag_of[x]
-                b = bx if level[bx] >= lw else bw
-                f = fold[b].pop(x * stride + w)[0]
-                touched.add(b)
-                old = to_z.get(x)
-                if old is None or f < old:
+                touched.add(bx if level[bx] >= lw else bw)
+                f = self.sign * g.wt[i]
+                if (old := to_z.get(x)) is None or f < old:
                     to_z[x] = f
-                    fold[bx][x * stride + z] = (f, x, 0)
                     touched.add(bx)
         self.stats.kills += 1
 

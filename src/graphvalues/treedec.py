@@ -47,7 +47,8 @@ class Violation:
 
 class TreeDecomposition:
     """Rooted tree of bags. Structure is validated on construction; the
-    decomposition conditions themselves are checked by :func:`validate`."""
+    decomposition conditions themselves are checked by :func:`validate`.
+    ``children[b]`` and ``rooted[b]`` (the nodes whose root bag is b) are tuples."""
 
     __slots__ = (
         "bags",
@@ -74,30 +75,32 @@ class TreeDecomposition:
             raise ValueError(f"expected exactly one root bag, found {len(roots)}")
         self.root = roots[0]
         nb = len(self.bags)
-        self.children = [[] for _ in range(nb)]
+        children = [[] for _ in range(nb)]
         for i, p in enumerate(self.parent):
             if p is not None:
-                self.children[p].append(i)
+                children[p].append(i)
+        self.children = children = list(map(tuple, children))
         # BFS from the root assigns levels and detects stray components.
-        self.level = [-1] * nb
+        self.level = level = [-1] * nb
         order = [self.root]
-        self.level[self.root] = 0
+        level[self.root] = 0
         for b in order:
-            for c in self.children[b]:
-                self.level[c] = self.level[b] + 1
+            for c in children[b]:
+                level[c] = level[b] + 1
                 order.append(c)
         if len(order) != nb:
             raise ValueError("parent pointers do not form a single tree")
         self.bfs_order = order
         # Root bag of a node: the first bag containing it in BFS order, which
         # for a valid decomposition is the unique smallest-level such bag.
-        self.root_bag_of = [-1] * n_nodes
-        self.rooted = [[] for _ in range(nb)]
+        self.root_bag_of = root_bag_of = [-1] * n_nodes
+        rooted = [[] for _ in range(nb)]
         for b in order:
             for u in self.bags[b]:
-                if 0 <= u < n_nodes and self.root_bag_of[u] == -1:
-                    self.root_bag_of[u] = b
-                    self.rooted[b].append(u)
+                if 0 <= u < n_nodes and root_bag_of[u] == -1:
+                    root_bag_of[u] = b
+                    rooted[b].append(u)
+        self.rooted = list(map(tuple, rooted))
         self._postorder = None
         # (graph, fold lists, rooted node per bag, peak maps) of the last
         # graph mincycle.min_cycle swept on this tree

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import tracemalloc
 from dataclasses import astuple
 
 import pytest
@@ -91,8 +92,13 @@ def test_triple_plus_is_associative_over_random_groupings():
 
 
 def _lifted(st) -> dict:
-    """Every fold-set triple of a state, keyed by its edge (u, v)."""
-    return {divmod(k, st.stride): tri for fold in st.fold for k, tri in fold.items()}
+    """Every lift the state's bags fold, keyed by its edge (u, v)."""
+    lifted = {}
+    for b in range(len(st.t.bags)):
+        lifts: dict = {}
+        st._fold(b, lifts)
+        lifted.update((divmod(k, st.stride), tri) for k, tri in lifts.items())
+    return lifted
 
 
 def test_lift_rules():
@@ -125,6 +131,20 @@ def test_energy_solve_builds_no_tree(two_gadget, monkeypatch):
     monkeypatch.setattr(TreeDecomposition, "__init__", counting_init)
     assert energy_values_tw(two_gadget, t) == energy_fixpoint(two_gadget)
     assert built == []
+
+
+def test_energy_state_memory_per_bag():
+    # the state used to hold a dict of pre-lifted triples per bag, edited by
+    # every kill; bags now lift their edges from g as they fold them
+    g = gen_ktree(2000, 2, wt=(-25, 1), ensure_sc=False, seed=1)
+    t = build_decomposition(g)
+    tracemalloc.start()
+    try:
+        energy_values_tw(g, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(t.bags) <= 950
 
 
 def test_node_in_no_bag_raises():
