@@ -71,7 +71,7 @@ def _search_stat_line(stats: SearchStats) -> str:
 def _energy_stat_line(stats: TwStats) -> str:
     return (
         f"kills={stats.kills} rounds={stats.rounds} update_bags={stats.update_bags} "
-        f"hot_discarded={stats.hot_discarded}"
+        f"hot_discarded={stats.hot_discarded} components={stats.components}"
     )
 
 

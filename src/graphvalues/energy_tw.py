@@ -1,16 +1,31 @@
 """Energy values by dynamic programming over a tree decomposition.
 
-This mirrors :mod:`.energy` (same sink, same kill rule, same final
-shortest-path-to-sink step) but replaces every Bellman-Ford scan with
-bag-local work, and it never copies the input into an augmented graph: g's
-own edge lists are read as they are, a sink edge is implied by its node and
-a redirected edge is one weight in a dict. Walks are summarized by *triples*
-(a, b, c): a is the walk weight, c the maximum prefix sum over the walk's
-eligible positions (every position whose node is not the sink z; the empty
-prefix counts), and b the anchor — a node attaining that maximum. A closed
-walk with a <= 0 certifies a non-positive cycle, and its anchor is a
-highest-energy node of that cycle, so it can be killed directly without
-re-running any global detection.
+The solve takes g's strongly connected components one at a time in Tarjan's
+emission order, so each comes after every component it can reach. A node on
+no cycle takes one min-step: with d the least f - v(y) over its edges (x, y)
+of weight f to successors y of finished energy v(y) > -inf, its energy is 0
+when d <= 0, -d otherwise, and -inf when there is no such edge. A cyclic
+component S is solved bag-locally, as below, on the caller's tree with every
+node outside S dead. Each edge (x, y) that leaves S enters as the redirected
+sink edge (x, z) of weight f - v(y), the lightest one per x: the kill rule's
+redirect, which is the case v(y) = 0, extended to any finished v(y). Only
+S's bags are in play: the root bags of its members and the bags between
+them and S's top bag, the root bag of its highest-rooted member (every
+member's root bag lies below it, since each edge's endpoints share the
+deeper root bag). Every other bag exports one shared empty map, and no
+graph is copied and no tree built per component.
+
+Within one component this mirrors :mod:`.energy` (same sink, same kill
+rule, same final shortest-path-to-sink step) but replaces every
+Bellman-Ford scan with bag-local work, and it never copies the input into
+an augmented graph: g's own edge lists are read as they are, a sink edge is
+implied by its node and a redirected edge is one weight in a dict. Walks are
+summarized by *triples* (a, b, c): a is the walk weight, c the maximum
+prefix sum over the walk's eligible positions (every position whose node is
+not the sink z; the empty prefix counts), and b the anchor — a node
+attaining that maximum. A closed walk with a <= 0 certifies a non-positive
+cycle, and its anchor is a highest-energy node of that cycle, so it can be
+killed directly without re-running any global detection.
 
 The bags are those of the caller's decomposition t of the original nodes.
 The sink z is an implicit member of every bag, rooted above t's root, so no
@@ -28,8 +43,8 @@ A bag b rooting node x summarizes the best known walks between its nodes
 
 - the *exported map*, keyed by u * (z + 1) + v, holds the pairs (u, v)
   with u, v != x. In a normalized tree the bag minus x is a subset of the
-  parent bag, so the parent takes this map as it is. The root's map holds
-  at most the pair (z, z) and is dropped: a non-positive closed walk
+  parent bag, so the parent takes this map as it is. The top bag's map
+  holds at most the pair (z, z) and is not read: a non-positive closed walk
   through z was reported where it was closed;
 - the *row* ``(diag, outs)`` holds the (x, x) diagonal and the (x, v)
   entries as ``(v, triple)`` pairs, which the distance pass reads.
@@ -38,18 +53,22 @@ A bag is recomputed from its children's exported maps and the edges folded
 there, read off x's adjacency in g: merge, fold (an edge is lifted only when
 its lift beats the merged entry, and no lift is stored), pop the entries
 that involve x, and close the pairs (u, x) + (x, v). Pairs through x itself
-are never closed: the parent does not contain x.
+are never closed: the parent does not contain x. A bag whose node is dead,
+or that roots none, only merges its children's maps and has no row; the one
+nonempty child map is passed on uncopied, since no map is written once
+exported.
 
 Kills run in rounds. A round takes every anchor reported since the last
 one: each has zero energy, and kills do not change the energy of the
 surviving nodes, so all of them are killed at once, an anchor reported
 twice or already dead being skipped. A kill edits no bag: it marks its node
 dead, lowers redirected weights and names the bags where its edges fold. The
-round then recomputes the union of those bags' ancestor chains once, deepest
-first: O(touched * height) bag updates per round, however many kills it
-holds. Anchors reported during that repair form the next round. Every bag
-whose map holds a walk through a killed node is recomputed after the kill,
-so a non-positive cycle that survives the round reports itself again.
+round then recomputes the union of those bags' ancestor chains, up to the
+top bag, once, deepest first: O(touched * height) bag updates per round,
+however many kills it holds. Anchors reported during that repair form the
+next round. Every bag whose map holds a walk through a killed node is
+recomputed after the kill, so a non-positive cycle that survives the round
+reports itself again.
 
 When no anchor is left, the weight parts of the rows are the min-plus
 closure of the final graph, so the distances to the sink are read off them
@@ -59,9 +78,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .energy import NEG_INF, AugmentedGraph, sink_distance_values
-from .graph import INF, InvariantError, WeightedDigraph, _gc_paused
+from .energy import NEG_INF, AugmentedGraph
+from .graph import INF, InvariantError, WeightedDigraph, _gc_paused, tarjan_scc
 from .treedec import TreeDecomposition, build_decomposition
+
+_EMPTY: dict = {}  # the exported map of every bag out of play; never written
 
 # -- walk triples ------------------------------------------------------------------
 
@@ -83,51 +104,103 @@ def triple_plus(t1, t2):
 
 @dataclass
 class TwStats:
+    """Counts of one energy solve, summed over the cyclic components solved
+    on the tree. ``kills`` counts the nodes killed there only: a zero-energy
+    node on no cycle is set by its min-step."""
+
     kills: int = 0
-    initial_bags: int = 0
+    initial_bags: int = 0  # bags in play, once per component
     update_bags: int = 0  # bags recomputed during kill repairs
     hot_discarded: int = 0  # reported anchors not killed: already dead, or repeated in a round
     rounds: int = 0  # repair rounds: one batch of kills, then one repair
+    components: int = 0  # cyclic strongly connected components solved on the tree
 
 
 class _TwState:
     """The energy solve on g and t: exported maps, rows, reported anchors,
-    and the kills applied so far.
+    the kills applied so far, and the component in play.
 
     The solved graph is g with every weight times ``sign``, plus the sink z =
     g.n with an edge (z, u) of weight 0 per node u. It is never built: g's
-    edge lists stay as they are, ``alive`` marks the killed nodes, whose
-    edges are gone, and ``to_z`` holds the weight of each redirected edge
-    (x, z). Bags lift their edges as they fold them, so kills edit no bag.
+    edge lists stay as they are, ``alive`` marks the live members of the
+    component in play (every other node is dead and its edges gone), and
+    ``to_z`` holds the weight of each redirected edge (x, z). Bags lift their
+    edges as they fold them, so kills edit no bag. A new state has the whole
+    graph in play (every node a member, every bag in play, t's root on top),
+    or with ``whole`` false nothing until :meth:`open`.
     """
 
     __slots__ = (
-        "g", "t", "stats", "sign", "z", "stride", "alive", "to_z",
-        "rooted", "exported", "rows", "hot",
+        "g", "t", "stats", "sign", "z", "stride", "alive", "to_z", "rooted", "exported",
+        "rows", "hot", "members", "playing", "order", "top", "dist",
     )
 
-    def __init__(self, g: WeightedDigraph, t: TreeDecomposition, sign: int, stats: TwStats):
+    def __init__(
+        self, g: WeightedDigraph, t: TreeDecomposition, sign: int, stats: TwStats, whole: bool = True
+    ):
         self.g = g
         self.t = t
         self.stats = stats
         self.sign = sign
         self.z = z = g.n
         self.stride = z + 1
-        self.alive = [True] * z
         self.to_z: dict[int, int] = {}
         nb = len(t.bags)
-        self.rooted = [t.single_rooted(b) for b in range(nb)]
-        self.exported: list = [None] * nb
+        if max(map(len, t.rooted)) > 1:  # single_rooted raises, naming the first such bag
+            t.single_rooted(next(b for b, r in enumerate(t.rooted) if len(r) > 1))
+        self.rooted = [r[0] if r else None for r in t.rooted]
+        self.exported: list = [_EMPTY] * nb
         self.rows: list = [None] * nb
         bags, level, root_bag_of = t.bags, t.level, t.root_bag_of
-        for u, v in zip(g.src, g.dst):  # fold_bag_of_edge, inline
+        for u, v in zip(g.src, g.dst):  # fold_bag_of_edge, inline: the deeper root bag holds both
             bu, bv = root_bag_of[u], root_bag_of[v]
-            b = bu if level[bu] >= level[bv] else bv
-            if u not in bags[b] or v not in bags[b]:
+            if not (v in bags[bu] if level[bu] >= level[bv] else u in bags[bv]):
+                b = bu if level[bu] >= level[bv] else bv
                 raise InvariantError(f"edge ({u},{v}) not covered by fold bag {b}")
         if -1 in root_bag_of:
             raise InvariantError(f"node {root_bag_of.index(-1)} is in no bag")
         self.hot: list[int] = []  # anchors of newly seen non-positive closed walks
+        self.alive = [whole] * z
+        self.members = range(z) if whole else ()
+        self.playing = [whole] * nb
+        self.order = t.postorder() if whole else []  # the bags in play, children first
+        self.top = t.root
+        self.dist: list = [INF] * z + [0]  # distances to the sink, the sink's own last
+
+    def open(self, comp: list[int], to_z: dict[int, int]) -> None:
+        """Put the component comp in play: its members alive, the bags from
+        their root bags up to its top bag in play, and ``to_z`` the weights
+        of its redirected edges. Every other node must be dead and every
+        other bag out of play, as :meth:`close` leaves them."""
+        t, alive, playing = self.t, self.alive, self.playing
+        level, parent = t.level, t.parent
+        roots = list(map(t.root_bag_of.__getitem__, comp))
+        levels = list(map(level.__getitem__, roots))
+        self.top = top = roots[levels.index(min(levels))]
+        playing[top] = True
+        order = [top]
+        for u, b in zip(comp, roots):
+            alive[u] = True
+            while not playing[b]:
+                playing[b] = True
+                order.append(b)
+                b = parent[b]
+                if b is None:
+                    raise InvariantError(f"root bag of node {u} is not below its component's top bag {top}")
+        order.sort(key=level.__getitem__, reverse=True)
+        self.members, self.order, self.to_z = comp, order, to_z
+
+    def close(self) -> None:
+        """Take the component in play out: its members dead, its bags out of
+        play with their maps emptied and rows dropped, its redirected edges gone."""
+        alive, exported, rows, playing = self.alive, self.exported, self.rows, self.playing
+        for u in self.members:
+            alive[u] = False
+        for b in self.order:
+            exported[b] = _EMPTY
+            rows[b] = None
+            playing[b] = False
+        self.to_z = {}
 
     def _fold(self, b: int, cur: dict):
         """Merge into cur, each only if it beats cur's entry, the lifts of the edges
@@ -162,19 +235,30 @@ class _TwState:
 
     def recompute_bag(self, b: int) -> None:
         exported = self.exported
-        ch = self.t.children[b]
-        cur = dict(exported[ch[0]]) if ch else {}
-        get = cur.get
-        for c in ch[1:]:
-            for k, tri in exported[c].items():
+        cur = None  # the merged child maps; a child's own until copied
+        owned = False
+        for c in self.t.children[b]:
+            m = exported[c]
+            if not m:
+                continue
+            if cur is None:
+                cur = m
+                continue
+            if not owned:
+                cur, owned = dict(cur), True
+            get = cur.get
+            for k, tri in m.items():
                 old = get(k)
                 if old is None or tri[0] < old[0]:
                     cur[k] = tri
-        loop = self._fold(b, cur)
         x = self.rooted[b]
-        if x is None:
-            exported[b] = cur
+        if x is None or not self.alive[x]:
+            exported[b] = _EMPTY if cur is None else cur
+            self.rows[b] = None
             return
+        cur = {} if cur is None else cur if owned else dict(cur)
+        get = cur.get
+        loop = self._fold(b, cur)
         stride = self.stride
         pop = cur.pop
         base = x * stride
@@ -185,14 +269,22 @@ class _TwState:
             self.hot.append(loop[1])
         ins = []
         outs = []
-        for v in (*self.t.bags[b], self.z):  # the sink is in every bag
-            if v != x:
+        alive = self.alive
+        for v in self.t.bags[b]:
+            if v != x and alive[v]:  # a dead node's walks are gone
                 tri = pop(base + v, None)
                 if tri is not None:
                     outs.append((v, tri))
                 tri = pop(v * stride + x, None)
                 if tri is not None:
                     ins.append((v, tri))
+        z = self.z  # in every bag
+        tri = pop(base + z, None)
+        if tri is not None:
+            outs.append((z, tri))
+        tri = pop(z * stride + x, None)
+        if tri is not None:
+            ins.append((z, tri))
         if outs:
             hot = self.hot
             for u, (a1, b1, c1) in ins:
@@ -211,9 +303,9 @@ class _TwState:
         self.rows[b] = (diag, outs)
 
     def initial_pass(self) -> None:
-        for b in self.t.postorder():
+        for b in self.order:
             self.recompute_bag(b)
-        self.stats.initial_bags += len(self.t.bags)
+        self.stats.initial_bags += len(self.order)
 
     def kill(self, w: int, touched: set) -> None:
         """Kill w as :meth:`.energy.AugmentedGraph.kill` does, adding the bags it touched.
@@ -246,12 +338,15 @@ class _TwState:
         self.stats.kills += 1
 
     def repair(self, touched: set) -> None:
-        """Recompute the union of the touched bags' ancestor chains, deepest first."""
-        parent = self.t.parent
+        """Recompute the union of the touched bags' ancestor chains up to the
+        top bag, deepest first."""
+        parent, top = self.t.parent, self.top
         dirty = set()
         for b in touched:
-            while b is not None and b not in dirty:
+            while b not in dirty:
                 dirty.add(b)
+                if b == top:
+                    break
                 b = parent[b]
         for b in sorted(dirty, key=self.t.level.__getitem__, reverse=True):
             self.recompute_bag(b)
@@ -264,16 +359,21 @@ def zero_energy_nodes_tw(
     t: TreeDecomposition,
     stats: TwStats | None = None,
     sign: int = 1,
+    st: _TwState | None = None,
 ) -> tuple[list[int], _TwState]:
-    """Kill every zero-energy node of g with its weights times ``sign``, bag-locally.
+    """Kill every zero-energy node of the component in play, bag-locally.
 
     Returns the killed nodes in kill order and the final state, whose rows
-    :func:`sssp_to_z_treedec` reads. ``t`` decomposes g's nodes 0..z-1 and
-    must be normalized (InvariantError if not); the sink z is taken as a
-    member of every bag. Rerun on the final state, :meth:`_TwState.initial_pass`
-    reports no anchor.
+    :func:`sssp_to_z_treedec` reads. Without ``st`` the component is the
+    whole of g with its weights times ``sign``, on a new state: ``t``
+    decomposes g's nodes 0..z-1 and must be normalized (InvariantError if
+    not); the sink z is taken as a member of every bag. With ``st``, a state
+    of g and t with one component in play, that component is solved with
+    the state's own stats and sign. Rerun on the final state,
+    :meth:`_TwState.initial_pass` reports no anchor.
     """
-    st = _TwState(g, t, sign, stats if stats is not None else TwStats())
+    if st is None:
+        st = _TwState(g, t, sign, stats if stats is not None else TwStats())
     st.initial_pass()
     alive = st.alive
     xs: list[int] = []
@@ -291,20 +391,20 @@ def zero_energy_nodes_tw(
 
 
 def sssp_to_z_treedec(st: _TwState) -> list:
-    """Exact distance from every node to the sink in the final graph.
+    """Exact distance from every node of the component in play to the sink
+    in the final graph, in a list indexed by node, the sink last.
 
     ``st`` is the state left by :func:`zero_energy_nodes_tw`; the weight
     part of each triple in its rows is the min-plus closure of the final
     graph over the bag's subtree. One top-down sweep from d(z) = 0 reads the
-    distances: the node x rooted at a bag closes over the bag's other
+    distances: the node x rooted at a bag closes over the bag's other live
     members, the sink included, which are all rooted at strict ancestors
-    (the sink above the root) and therefore already final. A non-positive
-    (x, x) diagonal means a surviving non-positive cycle and raises.
+    (the sink above the root) and therefore already final. A killed node
+    keeps distance inf. A non-positive (x, x) diagonal means a surviving
+    non-positive cycle and raises.
     """
-    dist: list = [INF] * (st.z + 1)
-    dist[st.z] = 0
-    rows, rooted = st.rows, st.rooted
-    for b in st.t.bfs_order:
+    dist, rows, rooted = st.dist, st.rows, st.rooted
+    for b in reversed(st.order):
         row = rows[b]
         if row is None:
             continue
@@ -329,15 +429,53 @@ def sssp_to_z_treedec(st: _TwState) -> list:
 def _values_tw(
     g: WeightedDigraph, t: TreeDecomposition | None, stats: TwStats | None, sign: int
 ) -> list:
-    """Energies of g with its weights times ``sign``, non-positive convention."""
+    """Energies of g with its weights times ``sign``, non-positive convention.
+
+    One strongly connected component at a time, sinks first: a node on no
+    cycle takes one min-step over its edges, and a cyclic component is
+    solved on t with its exits redirected to the sink. Without ``t``, a
+    decomposition is built only when g has a cyclic component.
+    """
     if t is not None and t.n_nodes != g.n:
         raise ValueError(f"decomposition has {t.n_nodes} nodes, graph has {g.n}")
-    if g.n == 0:
-        return []
-    if t is None:
-        t = build_decomposition(g)
-    _, st = zero_energy_nodes_tw(g, t, stats, sign)
-    return sink_distance_values(st, sssp_to_z_treedec(st))
+    stats = stats if stats is not None else TwStats()
+    st = None if t is None else _TwState(g, t, sign, stats, whole=False)
+    scc = tarjan_scc(g)
+    comp_of, dst, wt, out = scc.comp_of, g.dst, g.wt, g.out
+    vals: list = [NEG_INF] * g.n
+    for ci, comp in enumerate(scc.components):
+        exits = {}  # the lightest f - v(y) over each member's edges (x, y) leaving comp
+        cyclic = len(comp) > 1
+        for x in comp:
+            best = INF
+            for i in out[x]:
+                y = dst[i]
+                if comp_of[y] == ci:
+                    cyclic = True
+                elif (v := vals[y]) != NEG_INF and (f := sign * wt[i] - v) < best:
+                    best = f
+            if best != INF:
+                exits[x] = best
+        if not cyclic:  # one node on no cycle: the min-step
+            if best != INF:
+                vals[x] = 0 if best <= 0 else -best
+            continue
+        if st is None:
+            st = _TwState(g, build_decomposition(g), sign, stats, whole=False)
+        st.open(comp, exits)
+        zero_energy_nodes_tw(g, st.t, stats, sign, st)
+        dist = sssp_to_z_treedec(st)
+        alive = st.alive
+        for u in comp:
+            if not alive[u]:
+                vals[u] = 0
+            elif (d := dist[u]) <= 0:
+                raise InvariantError("non-positive distance to the sink after kills")
+            elif d != INF:
+                vals[u] = -d
+        st.close()
+        stats.components += 1
+    return vals
 
 
 def nonpositive_values_tw(

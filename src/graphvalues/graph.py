@@ -20,7 +20,7 @@ import functools
 import gc
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 INF = float("inf")
@@ -198,69 +198,66 @@ class SccPartition:
 
     comp_of: list[int]
     components: list[list[int]]
-    condensation: set[tuple[int, int]] = field(default_factory=set)
 
     def __len__(self) -> int:
         return len(self.components)
 
 
 def tarjan_scc(g: WeightedDigraph) -> SccPartition:
-    """Iterative Tarjan; safe for deep graphs (no recursion)."""
+    """Iterative Tarjan; safe for deep graphs (no recursion).
+
+    A node's index is its DFS number while it is on the stack and n once its
+    component is emitted, so one comparison with a low link stands for both
+    the on-stack test and the update.
+    """
     n = g.n
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
     stack: list[int] = []
     comp_of = [-1] * n
     components: list[list[int]] = []
     counter = 0
-    dst = g.dst
+    dst, out = g.dst, g.out
 
     for root in range(n):
         if index[root] != -1:
             continue
-        # Each frame is [node, iterator position into g.out[node]].
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(out[root]))]  # frames: a node and its unread out-edges
         while work:
-            v, pi = work.pop()
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            out = g.out[v]
-            while pi < len(out):
-                w = dst[out[pi]]
-                pi += 1
-                if index[w] == -1:
-                    work.append((v, pi))
-                    work.append((w, 0))
-                    recurse = True
+            v, edges = work[-1]
+            lv = low[v]  # stored back only before descending
+            for i in edges:
+                w = dst[i]
+                iw = index[w]
+                if iw == -1:
+                    low[v] = lv
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(out[w])))
                     break
-                if on_stack[w]:
-                    if index[w] < low[v]:
-                        low[v] = index[w]
-            if recurse:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp_of[w] = len(components)
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(comp)
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
+                if iw < lv:
+                    lv = iw
+            else:
+                work.pop()
+                if lv == index[v]:
+                    ci = len(components)
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        index[w] = n
+                        comp_of[w] = ci
+                        comp.append(w)
+                        if w == v:
+                            break
+                    components.append(comp)
+                elif lv < low[work[-1][0]]:
+                    low[work[-1][0]] = lv
 
-    of = comp_of.__getitem__
-    condensation = {(a, b) for a, b in zip(map(of, g.src), map(of, dst)) if a != b}
-    return SccPartition(comp_of, components, condensation)
+    return SccPartition(comp_of, components)
 
 
 def component_has_cycle(g: WeightedDigraph, scc: SccPartition, comp_id: int) -> bool:
@@ -276,20 +273,19 @@ def propagate_component_values(
     """Per-node value: min of per_component over all components reachable
     from the node's own component. Values may be numbers or INF.
 
-    One pass in reverse topological order (Tarjan emission order): every
-    condensation successor is finalized before its predecessors.
+    One pass in reverse topological order (Tarjan emission order): the
+    components an edge leads to are finalized before the component it
+    leaves.
     """
     if len(per_component) != len(scc.components):
         raise ValueError("one value per component required")
     best = list(per_component)
-    succs: list[list[int]] = [[] for _ in scc.components]
-    for (a, b) in scc.condensation:
-        succs[a].append(b)
-    for i in range(len(scc.components)):
-        for j in succs[i]:
+    comp_of, dst, out = scc.comp_of, g.dst, g.out
+    for i, comp in enumerate(scc.components):
+        for j in {comp_of[dst[e]] for u in comp for e in out[u]}:
             if best[j] < best[i]:
                 best[i] = best[j]
-    return [best[scc.comp_of[u]] for u in range(g.n)]
+    return [best[c] for c in comp_of]
 
 
 # -- file formats ---------------------------------------------------------------

@@ -371,6 +371,7 @@ def test_energy_stats_report_repair_rounds(tmp_path, capsys):
     assert _stat(err, "rounds") == stats.rounds
     assert _stat(err, "update_bags") == stats.update_bags
     assert _stat(err, "hot_discarded") == stats.hot_discarded
+    assert _stat(err, "components") == stats.components >= 1
     assert 1 < stats.rounds < stats.kills
 
 

@@ -10,7 +10,9 @@ from conftest import reversed_tree, small_random
 
 from graphvalues import energy, energy_tw
 from graphvalues.energy import (
+    NEG_INF,
     AugmentedGraph,
+    energy_values,
     nonpositive_values,
     sink_distance_values,
     zero_energy_nodes,
@@ -23,8 +25,8 @@ from graphvalues.energy_tw import (
     triple_plus,
     zero_energy_nodes_tw,
 )
-from graphvalues.generate import gen_cfg_like, gen_ktree
-from graphvalues.graph import INF, InvariantError, WeightedDigraph
+from graphvalues.generate import gen_cfg_like, gen_ktree, gen_sparse_random
+from graphvalues.graph import INF, InvariantError, WeightedDigraph, component_has_cycle, tarjan_scc
 from graphvalues.mincycle import min_cycle
 from graphvalues.oracles import bellman_ford_edges, energy_fixpoint
 from graphvalues.ratio import decide_mean_geq, mean_value, ratio_value
@@ -305,10 +307,16 @@ def test_stats_are_filled_and_bounded():
         g = small_random(seed, n_max=12, wt=(-6, 6))
         t = build_decomposition(g)
         stats = TwStats()
-        nonpositive_values_tw(g, t, stats)
+        vals = nonpositive_values_tw(g, t, stats)
         xs, _ = zero_energy_nodes(g)
-        assert stats.kills == len(xs)
-        assert stats.initial_bags == len(t.bags)
+        # kills are counted on the tree only; the min-step sets a zero on no cycle
+        scc = tarjan_scc(g)
+        cyclic = [component_has_cycle(g, scc, ci) for ci in range(len(scc.components))]
+        assert stats.kills == sum(cyclic[scc.comp_of[u]] for u in xs)
+        assert len(xs) == vals.count(0)
+        assert stats.components == sum(cyclic) > 0
+        # each component puts at most every bag in play once
+        assert 0 < stats.initial_bags <= stats.components * len(t.bags)
         assert stats.update_bags >= 0 and stats.hot_discarded >= 0
         # each kill dirties at most its fold bags plus their ancestor chains
         ceiling = (g.m + g.n + 1) * (t.height + 3)
@@ -407,29 +415,117 @@ def test_unnormalized_decomposition_raises():
             solve(g, t)
 
 
-def test_energy_solver_is_pinned(monkeypatch):
-    """Per-node values, kill lists in order, every TwStats field and the
-    final row weights of both conventions, on seeded k-trees, cfg-like
-    graphs and cascades under three trees each, so a rewrite of the energy
-    state keeps every output and every tie-break as it is."""
+# -- one strongly connected component at a time ------------------------------------
+
+
+def _three_trees(g):
+    return build_decomposition(g), build_decomposition(g, balance=False), reversed_tree(g)
+
+
+def _differential_graphs():
+    for seed in range(12):
+        yield gen_cfg_like(40, seed=seed, wt=(-6, 6))
+        yield _cascade_graph(seed + 100)
+        yield gen_ktree(30, k=1 + seed % 3, seed=seed, wt=(-8, 4), ensure_sc=False)
+        yield gen_sparse_random(35, avg_degree=1.5 + seed % 3 / 2, seed=seed, wt=(-6, 6))
+
+
+def test_per_component_solve_matches_general_and_oracle():
+    several = 0
+    for g in _differential_graphs():
+        want = energy_values(g)
+        assert energy_fixpoint(g) == want
+        want_np = nonpositive_values(g)
+        for t in _three_trees(g):
+            stats = TwStats()
+            assert energy_values_tw(g, t, stats) == want
+            assert nonpositive_values_tw(g, t) == want_np
+        several += stats.components > 1
+    assert several >= 12  # a third of the graphs have more than one cyclic SCC
+
+
+def test_exit_weight_carries_the_downstream_credit():
+    # SCC {a0, a1} of cycle weight -10 can only leave. a1 leaves through the
+    # chain c0 -> c1 -> c2 into SCC {b0, b1}, where b0 needs credit 3, so a1's
+    # exit edge weighs 1 - 5: the credit 5 of c0 counts, not just the edge.
+    # a0's own exit into b1 costs 12, more than the 5 + 4 through a1.
+    a0, a1, c0, c1, c2, b0, b1 = range(7)
+    g = WeightedDigraph.from_edges(7, [
+        (a0, a1, -5), (a1, a0, -5), (a1, c0, 1), (c0, c1, -2), (c1, c2, 1),
+        (c2, b0, -1), (b0, b1, -3), (b1, b0, 3), (a0, b1, -12),
+    ])
+    want = [9, 4, 5, 3, 4, 3, 0]
+    assert energy_fixpoint(g) == energy_values(g) == want
+    for t in _three_trees(g):
+        stats = TwStats()
+        assert energy_values_tw(g, t, stats) == want
+        assert stats.components == 2
+        assert nonpositive_values_tw(g.negated(), t) == [-v for v in want]
+
+
+def test_a_long_chain_between_two_cycles_stays_out_of_play():
+    n = 600
+    edges = [(0, 1, -1), (1, 0, 2), (n - 2, n - 1, 3), (n - 1, n - 2, -3)]
+    edges += [(u, u + 1, (-1) ** u) for u in range(1, n - 2)]
+    g = WeightedDigraph.from_edges(n, edges)
+    want = energy_fixpoint(g)
+    for t in _three_trees(g):
+        stats = TwStats()
+        assert energy_values_tw(g, t, stats) == want
+        assert stats.components == 2
+        assert stats.initial_bags <= len(t.bags) // 10, (stats.initial_bags, len(t.bags))
+
+
+def test_a_solved_component_leaves_nothing_in_play(monkeypatch):
     states = []
-    init = energy_tw._TwState.__init__
-
-    def keeping_init(self, *args, **kw):
-        init(self, *args, **kw)
-        states.append(self)
-
-    seen = []
     solve = energy_tw.zero_energy_nodes_tw
 
-    def recording(*args, **kw):
-        result = solve(*args, **kw)
-        seen.append((result[0], _weights(states.pop().rows)))
-        return result
+    def keeping(*args, **kw):
+        xs, st = solve(*args, **kw)
+        states.append(st)
+        return xs, st
 
-    monkeypatch.setattr(energy_tw._TwState, "__init__", keeping_init)
-    monkeypatch.setattr(energy_tw, "zero_energy_nodes_tw", recording)
-    h = hashlib.sha256()
+    monkeypatch.setattr(energy_tw, "zero_energy_nodes_tw", keeping)
+    g = gen_ktree(400, 2, seed=0, ensure_sc=False)  # 7 cyclic SCCs
+    energy_values_tw(g, build_decomposition(g))
+    st = states[0]
+    assert len(states) > 1 and all(s is st for s in states)
+    # a finished component's maps and rows are dropped, not kept to the end
+    assert not any(st.exported) and st.rows == [None] * len(st.rows)
+    assert not any(st.alive) and not any(st.playing) and st.to_z == {}
+
+
+def test_a_member_rooted_outside_its_top_bags_subtree_raises():
+    # every edge is covered by its fold bag, but node 0's bags {0} and
+    # {0, 1} are not connected, so node 1's root bag hangs beside the top bag
+    g = WeightedDigraph.from_edges(3, [(0, 1, -1), (1, 0, -1)])
+    t = TreeDecomposition([{2}, {0}, {2}, {0, 1}], [None, 0, 0, 2], 3)
+    with pytest.raises(InvariantError, match="top bag"):
+        energy_values_tw(g, t)
+
+
+def test_energy_solve_of_a_dag_builds_no_tree(monkeypatch):
+    n = 20_000
+    rng = random.Random(5)
+    pairs = {(u, rng.randrange(u + 1, n)) for u in range(n - 1) for _ in range(2)}
+    g = WeightedDigraph.from_edges(n, [(u, v, rng.randint(-9, 9)) for u, v in sorted(pairs)])
+    built = []
+    init = TreeDecomposition.__init__
+
+    def counting_init(self, *args, **kw):
+        built.append(args)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(TreeDecomposition, "__init__", counting_init)
+    stats = TwStats()
+    assert energy_values_tw(g, stats=stats) == [INF] * n  # no infinite walk
+    assert nonpositive_values_tw(g) == [NEG_INF] * n
+    assert built == [] and stats == TwStats()
+
+
+def _pinned_solves():
+    """(g, t, solver) on seeded k-trees, cfg-like graphs and cascades under
+    three trees each, both conventions."""
     for seed in range(3):
         for g in (
             gen_ktree(400, k=2 + seed % 2, seed=seed, ensure_sc=False),
@@ -443,8 +539,36 @@ def test_energy_solver_is_pinned(monkeypatch):
                 reversed_tree(g),
             ):
                 for solver in (energy_values_tw, nonpositive_values_tw):
-                    stats = TwStats()
-                    vals = solver(g, t, stats)
-                    h.update(repr((vals, seen.pop(), astuple(stats))).encode())
-    assert seen == states == []
-    assert h.hexdigest() == "f27b2517be66297b1b344160097bc858f8dbac3d33102bdcb2f305526ee4a412"
+                    yield g, t, solver
+
+
+def test_energy_solver_is_pinned():
+    """Per-node values of both conventions, so a rewrite of the energy
+    solve keeps every output as it is."""
+    h = hashlib.sha256()
+    for g, t, solver in _pinned_solves():
+        h.update(repr(solver(g, t)).encode())
+    assert h.hexdigest() == "d92336c1ece0fe19d06795902b24543f4971e934a22bce4546885b97aa72deb9"
+
+
+def test_energy_kill_lists_rows_and_stats_are_pinned(monkeypatch):
+    """Kill lists in order, the final row weights of every bag in play per
+    component and every TwStats field, so a rewrite of the energy state
+    keeps every tie-break as it is."""
+    seen = []
+    solve = energy_tw.zero_energy_nodes_tw
+
+    def recording(*args, **kw):
+        xs, st = solve(*args, **kw)
+        seen.append((xs, _weights([st.rows[b] for b in st.order])))
+        return xs, st
+
+    monkeypatch.setattr(energy_tw, "zero_energy_nodes_tw", recording)
+    h = hashlib.sha256()
+    for g, t, solver in _pinned_solves():
+        stats = TwStats()
+        solver(g, t, stats)
+        assert len(seen) == stats.components
+        h.update(repr((seen, astuple(stats))).encode())
+        seen.clear()
+    assert h.hexdigest() == "ae4854743ebb40eca69d948652dc7d4c22c8b8f81c59886e574e079f9ddc3521"
