@@ -6,16 +6,8 @@ to keep some infinite walk's prefix sums nonnegative. The fast paths run
 over balanced tree decompositions; :mod:`graphvalues.oracles` holds small
 brute-force references used by the test suite and the selftest command.
 """
-from .energy import (
-    AugmentedGraph,
-    decide_initial_credit,
-    decision_energy,
-    detect_nonpositive_cycle,
-    energy_values,
-    nonpositive_values,
-    zero_energy_nodes,
-)
-from .energy_tw import TwStats, energy_values_tw, nonpositive_values_tw
+from .energy import decide_initial_credit, energy_values
+from .energy_tw import TwStats, energy_values_tw
 from .graph import (
     INF,
     Edge,
@@ -25,10 +17,8 @@ from .graph import (
     induced_subgraph,
     load_graph,
     parse_graph,
-    propagate_component_values,
     tarjan_scc,
     to_dimacs,
-    to_edgelist,
 )
 from .mincycle import MinCycleResult, min_cycle
 from .ratio import (
@@ -52,7 +42,6 @@ from .treedec import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentedGraph",
     "Edge",
     "INF",
     "InvariantError",
@@ -69,8 +58,6 @@ __all__ = [
     "decide_initial_credit",
     "decide_mean_geq",
     "decide_ratio_geq",
-    "decision_energy",
-    "detect_nonpositive_cycle",
     "energy_values",
     "energy_values_tw",
     "induced_subgraph",
@@ -78,15 +65,10 @@ __all__ = [
     "mean_value",
     "mean_values_all_nodes",
     "min_cycle",
-    "nonpositive_values",
-    "nonpositive_values_tw",
     "parse_graph",
-    "propagate_component_values",
     "ratio_value",
     "ratio_values_all_nodes",
     "tarjan_scc",
     "to_dimacs",
-    "to_edgelist",
     "validate",
-    "zero_energy_nodes",
 ]

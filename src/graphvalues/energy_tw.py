@@ -125,9 +125,10 @@ class _TwState:
     edge lists stay as they are, ``alive`` marks the live members of the
     component in play (every other node is dead and its edges gone), and
     ``to_z`` holds the weight of each redirected edge (x, z). Bags lift their
-    edges as they fold them, so kills edit no bag. A new state has the whole
-    graph in play (every node a member, every bag in play, t's root on top),
-    or with ``whole`` false nothing until :meth:`open`.
+    edges as they fold them, so kills edit no bag. A new state has nothing
+    in play until :meth:`open`: no node alive or a member, no bag in play,
+    no top bag. ``t`` decomposes g's nodes 0..z-1 and must be normalized
+    (InvariantError if not); the sink z is taken as a member of every bag.
     """
 
     __slots__ = (
@@ -135,9 +136,7 @@ class _TwState:
         "rows", "hot", "members", "playing", "order", "top", "dist",
     )
 
-    def __init__(
-        self, g: WeightedDigraph, t: TreeDecomposition, sign: int, stats: TwStats, whole: bool = True
-    ):
+    def __init__(self, g: WeightedDigraph, t: TreeDecomposition, sign: int, stats: TwStats):
         self.g = g
         self.t = t
         self.stats = stats
@@ -160,11 +159,11 @@ class _TwState:
         if -1 in root_bag_of:
             raise InvariantError(f"node {root_bag_of.index(-1)} is in no bag")
         self.hot: list[int] = []  # anchors of newly seen non-positive closed walks
-        self.alive = [whole] * z
-        self.members = range(z) if whole else ()
-        self.playing = [whole] * nb
-        self.order = t.postorder() if whole else []  # the bags in play, children first
-        self.top = t.root
+        self.alive = [False] * z
+        self.members: list[int] = []
+        self.playing = [False] * nb
+        self.order: list[int] = []  # the bags in play, deepest first
+        self.top: int | None = None
         self.dist: list = [INF] * z + [0]  # distances to the sink, the sink's own last
 
     def open(self, comp: list[int], to_z: dict[int, int]) -> None:
@@ -354,26 +353,15 @@ class _TwState:
         self.stats.rounds += 1
 
 
-def zero_energy_nodes_tw(
-    g: WeightedDigraph,
-    t: TreeDecomposition,
-    stats: TwStats | None = None,
-    sign: int = 1,
-    st: _TwState | None = None,
-) -> tuple[list[int], _TwState]:
-    """Kill every zero-energy node of the component in play, bag-locally.
+def zero_energy_nodes_tw(st: _TwState) -> list[int]:
+    """Kill every zero-energy node of the component in play on ``st``,
+    bag-locally, with the state's own stats and sign.
 
-    Returns the killed nodes in kill order and the final state, whose rows
-    :func:`sssp_to_z_treedec` reads. Without ``st`` the component is the
-    whole of g with its weights times ``sign``, on a new state: ``t``
-    decomposes g's nodes 0..z-1 and must be normalized (InvariantError if
-    not); the sink z is taken as a member of every bag. With ``st``, a state
-    of g and t with one component in play, that component is solved with
-    the state's own stats and sign. Rerun on the final state,
+    ``st`` is a state with one component opened by :meth:`_TwState.open`.
+    Returns the killed nodes in kill order; the final state's rows are what
+    :func:`sssp_to_z_treedec` reads. Rerun on the final state,
     :meth:`_TwState.initial_pass` reports no anchor.
     """
-    if st is None:
-        st = _TwState(g, t, sign, stats if stats is not None else TwStats())
     st.initial_pass()
     alive = st.alive
     xs: list[int] = []
@@ -387,7 +375,7 @@ def zero_energy_nodes_tw(
             else:
                 st.stats.hot_discarded += 1
         st.repair(touched)
-    return xs, st
+    return xs
 
 
 def sssp_to_z_treedec(st: _TwState) -> list:
@@ -439,7 +427,7 @@ def _values_tw(
     if t is not None and t.n_nodes != g.n:
         raise ValueError(f"decomposition has {t.n_nodes} nodes, graph has {g.n}")
     stats = stats if stats is not None else TwStats()
-    st = None if t is None else _TwState(g, t, sign, stats, whole=False)
+    st = None if t is None else _TwState(g, t, sign, stats)
     scc = tarjan_scc(g)
     comp_of, dst, wt, out = scc.comp_of, g.dst, g.wt, g.out
     vals: list = [NEG_INF] * g.n
@@ -461,9 +449,9 @@ def _values_tw(
                 vals[x] = 0 if best <= 0 else -best
             continue
         if st is None:
-            st = _TwState(g, build_decomposition(g), sign, stats, whole=False)
+            st = _TwState(g, build_decomposition(g), sign, stats)
         st.open(comp, exits)
-        zero_energy_nodes_tw(g, st.t, stats, sign, st)
+        zero_energy_nodes_tw(st)
         dist = sssp_to_z_treedec(st)
         alive = st.alive
         for u in comp:

@@ -70,6 +70,9 @@ def ktree_skeleton(n: int, k: int, seed: int = 0) -> list[tuple[int, int]]:
     return edges
 
 
+KTREE_RETRIES = 30  # orientations gen_ktree draws before its bidirected fallback
+
+
 def gen_ktree(
     n: int,
     k: int = 2,
@@ -77,7 +80,7 @@ def gen_ktree(
     wt: tuple[int, int] = (-10, 10),
     wtp: tuple[int, int] = (1, 1),
     ensure_sc: bool = True,
-    retries: int = 30,
+    retries: int = KTREE_RETRIES,
 ) -> WeightedDigraph:
     """Random k-tree, oriented per skeleton edge (forward, backward, or both).
 

@@ -275,7 +275,9 @@ def _eliminate(g: WeightedDigraph):
 
 @_gc_paused
 def build_decomposition(
-    g: WeightedDigraph, heuristic: str = "min-degree", balance: bool = True
+    g: WeightedDigraph,
+    heuristic: str = "min-degree",  # kept only for bench/workloads.py's positional call
+    balance: bool = True,
 ) -> TreeDecomposition:
     """Min-degree elimination decomposition, balanced and normalized by
     default. Any ``heuristic`` but ``"min-degree"`` raises ``ValueError``."""

@@ -103,10 +103,18 @@ def _lifted(st) -> dict:
     return lifted
 
 
+def _solved(g: WeightedDigraph, t: TreeDecomposition, stats: TwStats | None = None, sign: int = 1):
+    """(killed nodes, final state) of the kill loop on a state of g and t
+    with every node opened as one component and no exits."""
+    st = energy_tw._TwState(g, t, sign, stats if stats is not None else TwStats())
+    st.open(list(range(g.n)), {})
+    return zero_energy_nodes_tw(st), st
+
+
 def test_lift_rules():
     # killing node 1 redirects the edge (3, 1) onto (3, z)
     g = WeightedDigraph.from_edges(9, [(3, 1, -5), (2, 5, 4), (6, 7, -3), (8, 0, 0)])
-    st = energy_tw._TwState(g, build_decomposition(g), 1, TwStats())
+    _, st = _solved(g, build_decomposition(g))  # no cycle, so nothing killed
     st.kill(1, set())
     z = st.z
     lifted = _lifted(st)
@@ -196,14 +204,14 @@ def test_zero_set_matches_general_algorithm():
     for seed in range(80):
         g = small_random(seed, wt=(-6, 6))
         xs_general, _ = zero_energy_nodes(g)
-        xs_tw, _ = zero_energy_nodes_tw(g, build_decomposition(g))
+        xs_tw, _ = _solved(g, build_decomposition(g))
         assert set(xs_tw) == set(xs_general), seed
 
 
 def test_quiescence_means_no_nonpositive_cycle():
     for seed in range(40):
         g = small_random(seed, wt=(-5, 7))
-        _, st = zero_energy_nodes_tw(g, build_decomposition(g))
+        _, st = _solved(g, build_decomposition(g))
         st.initial_pass()  # a fresh pass over the final graph
         assert st.hot == [], seed
 
@@ -233,7 +241,7 @@ def _bf_dist_to_z(ag: AugmentedGraph) -> list:
 def test_sssp_matches_bellman_ford_without_kills():
     for seed in range(40):
         g = small_random(seed, wt=(1, 9))  # positive weights: nothing to kill
-        xs, st = zero_energy_nodes_tw(g, build_decomposition(g))
+        xs, st = _solved(g, build_decomposition(g))
         assert xs == [], seed
         assert sssp_to_z_treedec(st) == _bf_dist_to_z(AugmentedGraph(g)), seed
 
@@ -241,7 +249,7 @@ def test_sssp_matches_bellman_ford_without_kills():
 def test_sssp_matches_bellman_ford_after_kills():
     for seed in range(60):
         g = small_random(seed, wt=(-6, 8))
-        xs, st = zero_energy_nodes_tw(g, build_decomposition(g))
+        xs, st = _solved(g, build_decomposition(g))
         got = sssp_to_z_treedec(st)
         ag = _replayed(g, xs)
         want = _bf_dist_to_z(ag)
@@ -269,7 +277,7 @@ def test_kills_replayed_through_the_general_kill_rule(sign):
     loops_killed = 0
     for seed in range(150):
         g = _loopy_graph(seed)
-        xs, st = zero_energy_nodes_tw(g, build_decomposition(g), sign=sign)
+        xs, st = _solved(g, build_decomposition(g), sign=sign)
         ag = _replayed(g, xs, negate=sign < 0)
         assert st.alive == ag.alive[: g.n], seed
         assert st.to_z == {x: ag.weight_of(x, ag.z) for x in ag.inc[ag.z]}, seed
@@ -386,7 +394,7 @@ def test_kill_rounds_on_cascades_match_the_references():
             reversed_tree(g),
         ):
             stats = TwStats()
-            xs, st = zero_energy_nodes_tw(g, t, stats)
+            xs, st = _solved(g, t, stats)
             assert len(xs) == len(set(xs)) == stats.kills, seed
             assert set(xs) == set(want_xs), seed
             assert sink_distance_values(st, sssp_to_z_treedec(st)) == want, seed
@@ -405,8 +413,8 @@ def test_kill_rounds_on_cascades_match_the_references():
 def test_unnormalized_decomposition_raises():
     g = WeightedDigraph.from_edges(2, [(0, 1, -1), (1, 0, 0)])
     t = TreeDecomposition([{0, 1}], [None], 2)  # one bag rooting both nodes
-    with pytest.raises(InvariantError):
-        zero_energy_nodes_tw(g, t)
+    with pytest.raises(InvariantError):  # raised as the state is built
+        _solved(g, t)
     with pytest.raises(InvariantError):
         nonpositive_values_tw(g, t)
     # the sweeps refuse it too: skipping the check reads inf on a cycle of weight -1
@@ -480,10 +488,9 @@ def test_a_solved_component_leaves_nothing_in_play(monkeypatch):
     states = []
     solve = energy_tw.zero_energy_nodes_tw
 
-    def keeping(*args, **kw):
-        xs, st = solve(*args, **kw)
+    def keeping(st):
         states.append(st)
-        return xs, st
+        return solve(st)
 
     monkeypatch.setattr(energy_tw, "zero_energy_nodes_tw", keeping)
     g = gen_ktree(400, 2, seed=0, ensure_sc=False)  # 7 cyclic SCCs
@@ -558,10 +565,10 @@ def test_energy_kill_lists_rows_and_stats_are_pinned(monkeypatch):
     seen = []
     solve = energy_tw.zero_energy_nodes_tw
 
-    def recording(*args, **kw):
-        xs, st = solve(*args, **kw)
+    def recording(st):
+        xs = solve(st)
         seen.append((xs, _weights([st.rows[b] for b in st.order])))
-        return xs, st
+        return xs
 
     monkeypatch.setattr(energy_tw, "zero_energy_nodes_tw", recording)
     h = hashlib.sha256()
