@@ -133,7 +133,7 @@ class _TwState:
 
     __slots__ = (
         "g", "t", "stats", "sign", "z", "stride", "alive", "to_z", "rooted", "exported",
-        "rows", "hot", "members", "playing", "order", "top", "dist",
+        "rows", "hot", "members", "order", "top", "dist",
     )
 
     def __init__(self, g: WeightedDigraph, t: TreeDecomposition, sign: int, stats: TwStats):
@@ -161,27 +161,26 @@ class _TwState:
         self.hot: list[int] = []  # anchors of newly seen non-positive closed walks
         self.alive = [False] * z
         self.members: list[int] = []
-        self.playing = [False] * nb
         self.order: list[int] = []  # the bags in play, deepest first
         self.top: int | None = None
         self.dist: list = [INF] * z + [0]  # distances to the sink, the sink's own last
 
     def open(self, comp: list[int], to_z: dict[int, int]) -> None:
-        """Put the component comp in play: its members alive, the bags from
-        their root bags up to its top bag in play, and ``to_z`` the weights
-        of its redirected edges. Every other node must be dead and every
-        other bag out of play, as :meth:`close` leaves them."""
-        t, alive, playing = self.t, self.alive, self.playing
+        """Put the component comp in play: its members alive, ``order`` the
+        bags from their root bags up to its top bag, deepest first, and
+        ``to_z`` the weights of its redirected edges. Every other node must
+        be dead and every other bag's map empty, as :meth:`close` leaves them."""
+        t, alive = self.t, self.alive
         level, parent = t.level, t.parent
         roots = list(map(t.root_bag_of.__getitem__, comp))
         levels = list(map(level.__getitem__, roots))
         self.top = top = roots[levels.index(min(levels))]
-        playing[top] = True
         order = [top]
+        walked = {top}  # the bags in play so far
         for u, b in zip(comp, roots):
             alive[u] = True
-            while not playing[b]:
-                playing[b] = True
+            while b not in walked:
+                walked.add(b)
                 order.append(b)
                 b = parent[b]
                 if b is None:
@@ -190,15 +189,15 @@ class _TwState:
         self.members, self.order, self.to_z = comp, order, to_z
 
     def close(self) -> None:
-        """Take the component in play out: its members dead, its bags out of
-        play with their maps emptied and rows dropped, its redirected edges gone."""
-        alive, exported, rows, playing = self.alive, self.exported, self.rows, self.playing
+        """Take the component in play out: its members dead, its bags' maps
+        emptied and rows dropped, its redirected edges gone. No other mark of
+        it is kept; the next :meth:`open` replaces ``members`` and ``order``."""
+        alive, exported, rows = self.alive, self.exported, self.rows
         for u in self.members:
             alive[u] = False
         for b in self.order:
             exported[b] = _EMPTY
             rows[b] = None
-            playing[b] = False
         self.to_z = {}
 
     def _fold(self, b: int, cur: dict):

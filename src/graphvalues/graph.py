@@ -1,4 +1,4 @@
-"""Weighted directed graphs: construction, file formats, SCCs, value propagation.
+"""Weighted directed graphs: construction, file formats, SCCs.
 
 Every graph carries two integer weights per edge: the primary weight ``wt``
 (arbitrary sign) and a secondary weight ``wtp`` that must be strictly
@@ -180,12 +180,15 @@ def induced_subgraph(g: WeightedDigraph, nodes: Sequence[int]) -> tuple[Weighted
     """
     old_ids = list(nodes)
     new_id = {u: i for i, u in enumerate(old_ids)}
-    # Only the nodes' own out-edges, put back in g's edge order.
+    # Only the nodes' own out-edges, put back in g's edge order: the columns
+    # are valid by construction (dense new ids, g's own wtp, no pair twice).
     src, dst, wt, wtp = g.src, g.dst, g.wt, g.wtp
     kept = sorted(i for u in new_id for i in g.out[u] if dst[i] in new_id)
-    edges = [(new_id[src[i]], new_id[dst[i]], wt[i], wtp[i]) for i in kept]
-    labels = [g.labels[u] for u in old_ids]
-    return WeightedDigraph(len(old_ids), edges, labels), old_ids
+    sub = WeightedDigraph._of_columns(
+        len(old_ids), [new_id[src[i]] for i in kept], [new_id[dst[i]] for i in kept],
+        [wt[i] for i in kept], [wtp[i] for i in kept], [g.labels[u] for u in old_ids],
+    )
+    return sub, old_ids
 
 
 # -- strongly connected components ---------------------------------------------
@@ -265,27 +268,6 @@ def component_has_cycle(g: WeightedDigraph, scc: SccPartition, comp_id: int) -> 
     comp = scc.components[comp_id]
     u = comp[0]
     return len(comp) > 1 or any(g.dst[i] == u for i in g.out[u])
-
-
-def propagate_component_values(
-    g: WeightedDigraph, scc: SccPartition, per_component: Sequence
-) -> list:
-    """Per-node value: min of per_component over all components reachable
-    from the node's own component. Values may be numbers or INF.
-
-    One pass in reverse topological order (Tarjan emission order): the
-    components an edge leads to are finalized before the component it
-    leaves.
-    """
-    if len(per_component) != len(scc.components):
-        raise ValueError("one value per component required")
-    best = list(per_component)
-    comp_of, dst, out = scc.comp_of, g.dst, g.out
-    for i, comp in enumerate(scc.components):
-        for j in {comp_of[dst[e]] for u in comp for e in out[u]}:
-            if best[j] < best[i]:
-                best[i] = best[j]
-    return [best[c] for c in comp_of]
 
 
 # -- file formats ---------------------------------------------------------------

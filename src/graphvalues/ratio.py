@@ -59,9 +59,7 @@ from .graph import (
     InvariantError,
     WeightedDigraph,
     _gc_paused,
-    component_has_cycle,
     induced_subgraph,
-    propagate_component_values,
     tarjan_scc,
 )
 from .mincycle import min_cycle
@@ -238,20 +236,27 @@ def decide_mean_geq(g, t, nu, stats=None) -> bool:
 def values_all_nodes(g: WeightedDigraph, solve) -> list:
     """Per start node: the best value among cycles reachable from it.
 
-    ``solve`` maps the induced subgraph of one cyclic strongly connected
-    component to its value (g itself when the component is all of g);
-    component values then flow backward over the condensation.
+    One pass over Tarjan's components, sinks first: a component's value is
+    the least of its successors' values, final already, and, when one of its
+    edges stays inside it (a self-loop for a singleton), of ``solve`` on its
+    induced subgraph (g itself when that is all of g); INF if neither.
     """
     scc = tarjan_scc(g)
-    per = []
+    comp_of, dst, out = scc.comp_of, g.dst, g.out
+    best: list = []  # per component, in Tarjan order
     for ci, comp in enumerate(scc.components):
-        if not component_has_cycle(g, scc, ci):
-            per.append(INF)
-        elif len(comp) == g.n:
-            per.append(solve(g))
-        else:
-            per.append(solve(induced_subgraph(g, comp)[0]))
-    return propagate_component_values(g, scc, per)
+        val, cyclic = INF, False
+        for u in comp:
+            for i in out[u]:
+                cj = comp_of[dst[i]]
+                if cj == ci:
+                    cyclic = True
+                elif best[cj] < val:
+                    val = best[cj]
+        if cyclic:  # solve's value wins a tie
+            val = min(solve(g if len(comp) == g.n else induced_subgraph(g, comp)[0]), val)
+        best.append(val)
+    return [best[c] for c in comp_of]
 
 
 def ratio_values_all_nodes(g: WeightedDigraph, t_builder=None, stats=None) -> list:

@@ -499,7 +499,7 @@ def test_a_solved_component_leaves_nothing_in_play(monkeypatch):
     assert len(states) > 1 and all(s is st for s in states)
     # a finished component's maps and rows are dropped, not kept to the end
     assert not any(st.exported) and st.rows == [None] * len(st.rows)
-    assert not any(st.alive) and not any(st.playing) and st.to_z == {}
+    assert not any(st.alive) and st.to_z == {}
 
 
 def test_a_member_rooted_outside_its_top_bags_subtree_raises():

@@ -13,7 +13,6 @@ from graphvalues import graph
 from graphvalues.generate import gen_ktree
 from graphvalues.graph import (
     DIMACS_MAX_NODES,
-    INF,
     Edge,
     ParseError,
     WeightedDigraph,
@@ -21,7 +20,6 @@ from graphvalues.graph import (
     induced_subgraph,
     parse_any,
     parse_graph,
-    propagate_component_values,
     tarjan_scc,
     to_dimacs,
     to_edgelist,
@@ -200,27 +198,6 @@ def test_condensation_is_acyclic_and_consistent():
             assert scc.comp_of[u] >= scc.comp_of[v], (seed, u, v)
 
 
-def test_propagate_component_values_takes_reachable_minimum():
-    # a -> b -> c, singleton components with values 3, 1, 2
-    g = WeightedDigraph.from_edges(3, [(0, 1, 0), (1, 2, 0)])
-    scc = tarjan_scc(g)
-    per = [0] * 3
-    for ci, comp in enumerate(scc.components):
-        per[ci] = {0: 3, 1: 1, 2: 2}[comp[0]]
-    vals = propagate_component_values(g, scc, per)
-    assert vals == [1, 1, 2]
-
-
-def test_propagate_handles_inf_components():
-    g = WeightedDigraph.from_edges(3, [(0, 1, 0), (1, 2, 5), (2, 1, -5)])
-    scc = tarjan_scc(g)
-    per = []
-    for ci, comp in enumerate(scc.components):
-        per.append(INF if not component_has_cycle(g, scc, ci) else 0)
-    vals = propagate_component_values(g, scc, per)
-    assert vals == [0, 0, 0]  # node 0 reaches the cycle
-
-
 def test_induced_subgraph_remaps_edges():
     g = WeightedDigraph.from_edges(5, [(0, 1, 1), (1, 4, 2), (4, 0, 3), (2, 3, 9)])
     sub, old = induced_subgraph(g, [0, 1, 4])
@@ -250,6 +227,20 @@ def test_induced_subgraph_remaps_edges():
 def test_induced_subgraph_keeps_labels(five_chain):
     sub, old = induced_subgraph(five_chain, [1, 2])
     assert sorted(sub.labels) == ["v", "w"]
+
+
+def test_induced_subgraph_equals_the_checked_constructors_copy():
+    rng = random.Random(3)
+    for seed in range(60):
+        g = small_random(seed)
+        nodes = rng.sample(range(g.n), rng.randint(1, g.n))
+        new = {u: i for i, u in enumerate(nodes)}
+        edges = [(new[u], new[v], w, wp) for u, v, w, wp in _rows(g) if u in new and v in new]
+        want = WeightedDigraph(len(nodes), edges, [g.labels[u] for u in nodes])
+        sub, old = induced_subgraph(g, nodes)
+        assert old == nodes
+        for attr in ("n", "src", "dst", "wt", "wtp", "labels", "out", "inc"):
+            assert getattr(sub, attr) == getattr(want, attr), (seed, attr)
 
 
 def test_large_parse_is_strict_about_header_count():

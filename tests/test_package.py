@@ -23,7 +23,7 @@ MODULE_ONLY = {
     "energy": ["AugmentedGraph", "zero_energy_nodes", "detect_nonpositive_cycle",
                "nonpositive_values", "decision_energy"],
     "energy_tw": ["nonpositive_values_tw"],
-    "graph": ["propagate_component_values", "to_edgelist"],
+    "graph": ["to_edgelist"],
 }
 
 PACKAGE = Path(graphvalues.__file__).resolve().parent

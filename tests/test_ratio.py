@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 from graphvalues import ratio
 from graphvalues.generate import gen_cfg_like, gen_ktree, gen_sparse_random
-from graphvalues.graph import INF, InvariantError, WeightedDigraph, induced_subgraph, tarjan_scc
+from graphvalues.graph import (
+    INF,
+    InvariantError,
+    WeightedDigraph,
+    component_has_cycle,
+    induced_subgraph,
+    tarjan_scc,
+)
 from graphvalues.mincycle import min_cycle
 from graphvalues.oracles import (
     bellman_ford_edges,
@@ -30,6 +37,7 @@ from graphvalues.ratio import (
     mean_values_all_nodes,
     ratio_value,
     ratio_values_all_nodes,
+    values_all_nodes,
 )
 from graphvalues.treedec import TreeDecomposition, build_decomposition
 
@@ -425,6 +433,57 @@ def test_per_node_karp_cross_check():
         vals = mean_values_all_nodes(g)
         assert len(tarjan_scc(g)) == 1
         assert vals == [karp_mean(g)] * g.n, seed
+
+
+def test_values_all_nodes_takes_reachable_minimum():
+    # 0 -> 1 -> 2, each a singleton with a self-loop, solved to 3, 1 and 2
+    g = WeightedDigraph.from_edges(3, [(0, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0), (2, 2, 0)])
+    seen = []
+
+    def solve(sub):
+        assert sub.n == 1 and sub.m == 1
+        seen.append(sub.labels[0])
+        return {"0": 3, "1": 1, "2": 2}[sub.labels[0]]
+
+    assert values_all_nodes(g, solve) == [1, 1, 2]
+    assert seen == ["2", "1", "0"]
+
+
+def test_values_all_nodes_handles_inf_components():
+    # a path into a 2-cycle: node 0 is on no cycle but reaches one
+    g = WeightedDigraph.from_edges(3, [(0, 1, 0), (1, 2, 5), (2, 1, -5)])
+    seen = []
+
+    def solve(sub):
+        seen.append(sorted(sub.labels))
+        return Fraction(0)
+
+    assert values_all_nodes(g, solve) == [0, 0, 0]
+    assert seen == [["1", "2"]]
+    # a DAG: no component is solved and every node reads INF
+    dag = WeightedDigraph.from_edges(5, [(0, 1, 1), (0, 2, -3), (1, 3, 2), (2, 3, 0), (4, 2, 7)])
+
+    def never(sub):
+        raise AssertionError("solve called on an acyclic component")
+
+    assert values_all_nodes(dag, never) == [INF] * 5
+
+
+def test_values_all_nodes_solves_each_cyclic_component_once_in_tarjan_order():
+    for seed in range(80):
+        g = small_random(seed)
+        subs = []
+
+        def solve(sub):
+            subs.append(sub)
+            return Fraction(len(subs))
+
+        values_all_nodes(g, solve)
+        scc = tarjan_scc(g)
+        cyclic = [c for ci, c in enumerate(scc.components) if component_has_cycle(g, scc, ci)]
+        assert [sorted(map(int, sub.labels)) for sub in subs] == [sorted(c) for c in cyclic], seed
+        if len(scc) == 1 and cyclic:  # the component is all of g: no copy
+            assert subs == [g], seed
 
 
 # -- approximation ---------------------------------------------------------------
