@@ -163,12 +163,13 @@ class _Trees:
     """Builds every decomposition a command solves on.
 
     With --validate each tree is checked as soon as it is built, before the
-    solver uses it, and --stats reports the trees built.
+    solver uses it, and --stats reports the trees built. Only each tree's
+    (width, height, bag count) is kept, so a solved tree can be freed.
     """
 
     def __init__(self, args):
         self.args = args
-        self.built = []
+        self.built: list[tuple[int, int, int]] = []
 
     def __call__(self, g):
         t = build_decomposition(g)
@@ -176,21 +177,17 @@ class _Trees:
             v = validate(t, g)
             if v is not None:
                 raise InvariantError(f"decomposition check failed [{v.condition}]: {v.detail}")
-        self.built.append(t)
+        self.built.append((t.width, t.height, len(t.bags)))
         return t
 
     def report(self, g, *extra: str) -> None:
         """With --stats, one stderr line: the trees built, then ``extra``."""
         if not self.args.stats:
             return
-        ts = self.built
-        parts = [f"n={g.n} m={g.m} builds={len(ts)}"]
-        if ts:
-            parts += [
-                f"width={max(t.width for t in ts)}",
-                f"height={max(t.height for t in ts)}",
-                f"bags={sum(len(t.bags) for t in ts)}",
-            ]
+        parts = [f"n={g.n} m={g.m} builds={len(self.built)}"]
+        if self.built:
+            widths, heights, bags = zip(*self.built)
+            parts += [f"width={max(widths)}", f"height={max(heights)}", f"bags={sum(bags)}"]
         print(" ".join(parts + [e for e in extra if e]), file=sys.stderr)
 
 
@@ -296,6 +293,8 @@ def _cmd_treedec(args) -> int:
 def _cmd_gen(args) -> int:
     if args.kind == "ktree" and not 1 <= args.k <= 5:
         raise ValueError("ktree generator supports k between 1 and 5")
+    if args.kind == "cfg-like" and args.wtp_max != 1:
+        raise ValueError("--wtp-max applies to ktree and sparse-random; cfg-like writes unit wt'")
     g = generate(
         args.kind,
         args.n,
@@ -336,8 +335,8 @@ def _cmd_bench(args) -> int:
                 results[algo] = solve(g, trees, stats)
                 dt = time.perf_counter() - t0
                 ts = trees.built
-                width = max(t.width for t in ts) if ts else "-"
-                height = max(t.height for t in ts) if ts else "-"
+                width = max(w for w, _, _ in ts) if ts else "-"
+                height = max(h for _, h, _ in ts) if ts else "-"
                 note = spec.stat_line(stats).split()[0] if algo == "tw" else "-"
                 rows.append((path.name, g.n, g.m, width, height, algo, rep, f"{dt:.6f}", note))
         bad = _disagreement(g, results)

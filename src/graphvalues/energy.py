@@ -190,8 +190,7 @@ def sink_distance_values(ag, dist) -> list:
     distances to the sink in the final augmented graph: 0 for killed nodes,
     -d for the others, -inf where the sink is unreachable.
 
-    ``ag`` is an AugmentedGraph or the state of :mod:`.energy_tw`; only its
-    sink ``z`` and its ``alive`` flags are read."""
+    Only ``ag``'s sink ``z`` and its ``alive`` flags are read."""
     vals: list = [0] * ag.z
     for u in range(ag.z):
         if not ag.alive[u]:

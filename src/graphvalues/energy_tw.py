@@ -145,9 +145,7 @@ class _TwState:
         self.stride = z + 1
         self.to_z: dict[int, int] = {}
         nb = len(t.bags)
-        if max(map(len, t.rooted)) > 1:  # single_rooted raises, naming the first such bag
-            t.single_rooted(next(b for b, r in enumerate(t.rooted) if len(r) > 1))
-        self.rooted = [r[0] if r else None for r in t.rooted]
+        self.rooted = [t.single_rooted(b) for b in range(nb)]
         self.exported: list = [_EMPTY] * nb
         self.rows: list = [None] * nb
         bags, level, root_bag_of = t.bags, t.level, t.root_bag_of

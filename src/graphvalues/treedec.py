@@ -15,10 +15,11 @@ holds an eighth of the live nodes. A node's parent bag is that of a
 neighbour eliminated in a later round, so the raw tree is no taller than the
 number of rounds, and inputs with few nodes of low degree, such as a long
 ladder, a k-path or a strip of grid, are eaten from many places at once.
-Balancing is then only a comb: :func:`_binarize` hangs the children of a
-bag with more than two under copies of it, lowest subtrees first, and
-:func:`_split_multi_rooted` gives every node its own root bag; neither
-changes the width.
+Balancing is then one pass, :func:`balance_and_binarize`, that never
+changes the width: a comb hangs the children of a bag with more than two
+under copies of it, lowest subtrees first, and a bag that roots several
+nodes, which only a caller-built tree has, is split into a chain of nested
+bags so that every node gets its own root bag.
 """
 from __future__ import annotations
 
@@ -57,7 +58,6 @@ class TreeDecomposition:
         "root",
         "n_nodes",
         "level",
-        "bfs_order",
         "root_bag_of",
         "rooted",
         "_postorder",
@@ -90,7 +90,6 @@ class TreeDecomposition:
                 order.append(c)
         if len(order) != nb:
             raise ValueError("parent pointers do not form a single tree")
-        self.bfs_order = order
         # Root bag of a node: the first bag containing it in BFS order, which
         # for a valid decomposition is the unique smallest-level such bag.
         self.root_bag_of = root_bag_of = [-1] * n_nodes
@@ -297,26 +296,23 @@ def build_decomposition(
 
 @_gc_paused
 def balance_and_binarize(t: TreeDecomposition) -> TreeDecomposition:
-    """``t`` combed into a normalized binary tree of the same width.
+    """``t`` as a normalized binary tree of the same width.
 
-    :func:`_binarize` gives every bag at most two children and
-    :func:`_split_multi_rooted` gives every node its own root bag; neither
-    changes what a bag holds. The logarithmic height comes from elimination,
+    First a Huffman comb on subtree height: a bag with k > 2 children gets
+    its two shallowest child subtrees hung under a fresh copy of it until
+    two are left. The copies sit below the bag, so they root no node, and
+    the comb's height is the least any binary comb over those subtrees can
+    have. Then a bag that roots k > 1 nodes keeps the least of them and gets
+    a chain of k - 1 nested bags below it, each adding the next node; its
+    children, comb copies included, move under the chain's last bag, which
+    holds the bag's whole content. Elimination trees root one node per bag,
+    so only a caller's tree is split. New bags are appended, so the input's
+    bags keep their numbers. The logarithmic height comes from elimination,
     whose rounds eat the input from many places at once; nothing here
     rebalances, so a tall tree that a caller builds by hand stays tall.
     """
-    return _split_multi_rooted(_binarize(t))
-
-
-def _binarize(t: TreeDecomposition) -> TreeDecomposition:
-    """Give every bag at most two children without changing any bag's content.
-
-    A bag with k > 2 children gets a Huffman comb on subtree height: the two
-    shallowest child subtrees are hung under a fresh copy of the bag until two
-    are left. The copies sit below the bag, so they root no node, and the
-    comb's height is the least any binary comb over those subtrees can have.
-    """
-    if all(len(c) <= 2 for c in t.children):
+    shared = [b for b, r in enumerate(t.rooted) if len(r) > 1]
+    if not shared and all(len(c) <= 2 for c in t.children):
         return t
     bags = list(t.bags)
     parent = list(t.parent)
@@ -334,36 +330,22 @@ def _binarize(t: TreeDecomposition) -> TreeDecomposition:
                 parent[c1] = parent[c2] = copy
                 heapq.heappush(subs, (max(h1, h2) + 1, copy))
         height[b] = 1 + max(h for h, _ in subs) if subs else 0
-    return TreeDecomposition(bags, parent, t.n_nodes)
-
-
-def _split_multi_rooted(t: TreeDecomposition) -> TreeDecomposition:
-    """Expand every bag rooting k > 1 nodes into a chain of k nested bags."""
-    if all(len(r) <= 1 for r in t.rooted):
-        return t
-    new_bags: list[frozenset[int]] = []
-    new_parent: list[int | None] = []
-    bottom_id: dict[int, int] = {}
-    for b in t.bfs_order:
-        p = t.parent[b]
-        pnew = bottom_id[p] if p is not None else None
+    combed = len(bags)
+    last: dict[int, int] = {}  # split bag -> its chain's last bag
+    for b in shared:
         xs = sorted(t.rooted[b])
-        if len(xs) <= 1:
-            new_bags.append(t.bags[b])
-            new_parent.append(pnew)
-            bottom_id[b] = len(new_bags) - 1
-            continue
-        content = t.bags[b] - frozenset(xs[1:])
-        new_bags.append(content)
-        new_parent.append(pnew)
-        cur = len(new_bags) - 1
+        content = bags[b] = bags[b] - frozenset(xs[1:])
+        up = b
         for x in xs[1:]:
             content = content | {x}
-            new_bags.append(content)
-            new_parent.append(cur)
-            cur = len(new_bags) - 1
-        bottom_id[b] = cur
-    return TreeDecomposition(new_bags, new_parent, t.n_nodes)
+            bags.append(content)
+            parent.append(up)
+            up = len(bags) - 1
+        last[b] = up
+    for c in range(combed):
+        if parent[c] in last:
+            parent[c] = last[parent[c]]
+    return TreeDecomposition(bags, parent, t.n_nodes)
 
 
 # -- helpers used by the traversal algorithms ---------------------------------------

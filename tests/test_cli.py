@@ -220,6 +220,15 @@ def test_gen_cfg_like(capsys):
     assert capsys.readouterr().out.startswith("p mrc 25 ")
 
 
+def test_gen_cfg_like_refuses_a_wtp_range(capsys):
+    assert main(["gen", "cfg-like", "25", "--wtp-max", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--wtp-max applies to ktree and sparse-random" in captured.err
+    assert main(["gen", "cfg-like", "25", "--seed", "2", "--wtp-max", "1"]) == 0
+    assert capsys.readouterr().out == to_dimacs(gen_cfg_like(25, seed=2))
+
+
 def test_missing_file_is_input_error(capsys):
     assert main(["mean", "/no/such/file.gr"]) == 1
     assert "error" in capsys.readouterr().err
@@ -558,6 +567,25 @@ def test_one_decomposition_per_solve(multi_scc_file, builds, capsys, argv, want_
         assert _stat(err, "bags") == sum(len(t.bags) for t in builds)
     else:
         assert "width=" not in err
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("mean", "n=8 m=10 builds=3 width=1 height=1 bags=6 decisions=6 zero-test=3 newton=3"),
+        ("energy", "n=8 m=10 builds=1 width=2 height=3 bags=8 kills=5 rounds=4 update_bags=11 "
+                   "hot_discarded=1 components=3"),
+    ],
+)
+def test_trees_are_freed_once_solved(multi_scc_file, capsys, command, line):
+    # _Trees keeps each tree's figures, not the tree and its fold cache
+    g = cli.load_graph(multi_scc_file)
+    trees = cli._Trees(SimpleNamespace(validate=True, stats=True))
+    t = trees(g)
+    alone = treedec.build_decomposition(g)  # referred to by one local name only
+    assert sys.getrefcount(t) == sys.getrefcount(alone)
+    assert main([command, multi_scc_file, "--stats"]) == 0
+    assert capsys.readouterr().err == line + "\n"
 
 
 def test_heuristic_flag_is_gone(multi_scc_file):

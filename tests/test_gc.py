@@ -40,7 +40,9 @@ def collector():
 STAGES = {
     "parse_any": (lambda g, text, raw: parse_any(text), graph, "_parse_dimacs"),
     "build_decomposition": (lambda g, text, raw: build_decomposition(g), treedec, "_eliminate"),
-    "balance_and_binarize": (lambda g, text, raw: balance_and_binarize(raw), treedec, "_binarize"),
+    "balance_and_binarize": (
+        lambda g, text, raw: balance_and_binarize(raw), treedec, "TreeDecomposition"
+    ),
     "mean_values_all_nodes": (lambda g, text, raw: mean_values_all_nodes(g), ratio, "build_decomposition"),
     "ratio_values_all_nodes": (lambda g, text, raw: ratio_values_all_nodes(g), ratio, "tarjan_scc"),
     "energy_values_tw": (lambda g, text, raw: energy_values_tw(g), energy_tw, "zero_energy_nodes_tw"),

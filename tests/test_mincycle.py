@@ -12,7 +12,7 @@ from graphvalues.graph import INF, WeightedDigraph
 from graphvalues.mincycle import min_cycle
 from graphvalues.oracles import enumerate_cycles, min_cycle_weight_by_enumeration
 from graphvalues.ratio import SearchStats, mean_value, ratio_value
-from graphvalues.treedec import _binarize, build_decomposition
+from graphvalues.treedec import build_decomposition
 
 
 def test_triangle_exact(triangle):
@@ -75,8 +75,7 @@ def test_peak_maps_within_height_budget():
 def test_peak_maps_within_height_budget_on_a_large_2_tree():
     # a depth-first postorder holds at most one finished map per level
     g = gen_ktree(10_000, 2, seed=1)
-    raw = build_decomposition(g, balance=False)
-    for t in (build_decomposition(g), _binarize(raw), reversed_tree(g)):
+    for t in (build_decomposition(g), reversed_tree(g)):
         r = min_cycle(g, t)
         assert r.peak_maps <= t.height + 1, (r.peak_maps, t.height)
 

@@ -13,7 +13,7 @@ from graphvalues.energy_tw import energy_values_tw
 from graphvalues.generate import gen_cfg_like, gen_ktree, gen_sparse_random
 from graphvalues.graph import InvariantError, WeightedDigraph, tarjan_scc
 from graphvalues.oracles import karp_mean
-from graphvalues.ratio import mean_values_all_nodes, ratio_values_all_nodes, values_all_nodes
+from graphvalues.ratio import mean_value, mean_values_all_nodes, ratio_values_all_nodes, values_all_nodes
 from graphvalues.treedec import (
     HEIGHT_FACTOR,
     _WINDOW_SHARE,
@@ -400,6 +400,48 @@ def test_values_match_on_reversed_and_one_bag_trees():
     assert several == 6
 
 
+def _merged(g, seed):
+    """g's raw elimination tree with a third of its non-root bags, picked at
+    random, and one child of the root merged into their nearest kept
+    ancestor: a caller-built tree in which the merged-into bags, the root
+    among them, root several nodes and may have more than two children."""
+    raw = build_decomposition(g, balance=False)
+    rng = random.Random(seed)
+    up = list(raw.parent)
+    content = [set(b) for b in raw.bags]
+    merged = set(rng.sample([b for b, p in enumerate(up) if p is not None], len(up) // 3))
+    merged.add(raw.children[raw.root][0])  # so that the root bag roots several nodes
+    top_down = sorted(range(len(up)), key=raw.level.__getitem__)
+    for b in reversed(top_down):
+        if b in merged:
+            content[up[b]] |= content[b]
+    for b in top_down:
+        if up[b] in merged:
+            up[b] = up[up[b]]  # the parent's own entry already skips merged bags
+    kept = [b for b in range(len(up)) if b not in merged]
+    new_id = {b: i for i, b in enumerate(kept)}
+    return TreeDecomposition(
+        [content[b] for b in kept], [None if up[b] is None else new_id[up[b]] for b in kept], g.n
+    )
+
+
+def test_caller_trees_with_shared_root_bags_are_normalized():
+    wide = 0
+    for seed in range(40):
+        g = (gen_ktree(30 + seed, 2 + seed % 2, seed=seed, wt=(-8, 8), wtp=(1, 4), ensure_sc=False)
+             if seed % 2 else sc_ktree(seed, n_max=30))
+        t = _merged(g, seed)
+        assert validate(t, g, normalized=False) is None, seed
+        assert len(t.rooted[t.root]) > 1, seed
+        wide += any(len(c) > 2 for c in t.children)
+        n = balance_and_binarize(t)
+        assert validate(n, g) is None and n.width == t.width, seed
+        assert energy_values_tw(g, n) == energy_values_tw(g), seed
+        if seed % 2 == 0:
+            assert mean_value(g, n)[0] == mean_value(g)[0], seed
+    assert wide >= 30  # 35 of the 40 trees have a bag with more than two children
+
+
 def test_every_bag_roots_at_most_one_node():
     for seed in range(12):
         g = sc_ktree(seed)
@@ -524,3 +566,13 @@ def test_elimination_trees_are_pinned():
             t = build_decomposition(g, balance=False)
             h.update(decomposition_to_text(t).encode())
     assert h.hexdigest() == "affe53e76ca44c55924651123eddcc18df586c36a3472ba5ca6a7d8e30ccd9f9"
+
+
+def test_balanced_trees_are_pinned():
+    """The same eight graphs' trees after the comb, bag for bag: balancing
+    hangs copies in the same order and splits no elimination tree's bag."""
+    h = hashlib.sha256()
+    for seed in range(4):
+        for g in (gen_ktree(200, k=2 + seed % 2, seed=seed), gen_cfg_like(150, seed=seed)):
+            h.update(decomposition_to_text(build_decomposition(g)).encode())
+    assert h.hexdigest() == "98981888e34c9ddf990b883fdf89c67a48e34fd3fc47aaeaea11cf3ce69c54b4"
