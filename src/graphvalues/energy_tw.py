@@ -46,8 +46,9 @@ A bag b rooting node x summarizes the best known walks between its nodes
   parent bag, so the parent takes this map as it is. The top bag's map
   holds at most the pair (z, z) and is not read: a non-positive closed walk
   through z was reported where it was closed;
-- the *row* ``(diag, outs)`` holds the (x, x) diagonal and the (x, v)
-  entries as ``(v, triple)`` pairs, which the distance pass reads.
+- the *row*, one flat tuple ``(d, v1, w1, v2, w2, ...)``, keeps what the
+  distance pass reads: d the weight of the (x, x) diagonal (None when there
+  is none), then each (x, v) entry's v and weight.
 
 A bag is recomputed from its children's exported maps and the edges folded
 there, read off x's adjacency in g: merge, fold (an edge is lifted only when
@@ -149,13 +150,13 @@ class _TwState:
         self.exported: list = [_EMPTY] * nb
         self.rows: list = [None] * nb
         bags, level, root_bag_of = t.bags, t.level, t.root_bag_of
+        if -1 in root_bag_of:  # first: a node in no bag has root bag -1, Python's last
+            raise InvariantError(f"node {root_bag_of.index(-1)} is in no bag")
         for u, v in zip(g.src, g.dst):  # fold_bag_of_edge, inline: the deeper root bag holds both
             bu, bv = root_bag_of[u], root_bag_of[v]
             if not (v in bags[bu] if level[bu] >= level[bv] else u in bags[bv]):
                 b = bu if level[bu] >= level[bv] else bv
                 raise InvariantError(f"edge ({u},{v}) not covered by fold bag {b}")
-        if -1 in root_bag_of:
-            raise InvariantError(f"node {root_bag_of.index(-1)} is in no bag")
         self.hot: list[int] = []  # anchors of newly seen non-positive closed walks
         self.alive = [False] * z
         self.members: list[int] = []
@@ -263,6 +264,7 @@ class _TwState:
         # made; only a self-loop folded here is new
         if loop is not None and diag is loop and loop[0] <= 0:
             self.hot.append(loop[1])
+        row = [None if diag is None else diag[0]]
         ins = []
         outs = []
         alive = self.alive
@@ -271,6 +273,7 @@ class _TwState:
                 tri = pop(base + v, None)
                 if tri is not None:
                     outs.append((v, tri))
+                    row += v, tri[0]
                 tri = pop(v * stride + x, None)
                 if tri is not None:
                     ins.append((v, tri))
@@ -278,6 +281,7 @@ class _TwState:
         tri = pop(base + z, None)
         if tri is not None:
             outs.append((z, tri))
+            row += z, tri[0]
         tri = pop(z * stride + x, None)
         if tri is not None:
             ins.append((z, tri))
@@ -296,7 +300,7 @@ class _TwState:
                         if a <= 0 and u == v:
                             hot.append(tri[1])
         exported[b] = cur
-        self.rows[b] = (diag, outs)
+        self.rows[b] = tuple(row)
 
     def initial_pass(self) -> None:
         for b in self.order:
@@ -379,9 +383,9 @@ def sssp_to_z_treedec(st: _TwState) -> list:
     """Exact distance from every node of the component in play to the sink
     in the final graph, in a list indexed by node, the sink last.
 
-    ``st`` is the state left by :func:`zero_energy_nodes_tw`; the weight
-    part of each triple in its rows is the min-plus closure of the final
-    graph over the bag's subtree. One top-down sweep from d(z) = 0 reads the
+    ``st`` is the state left by :func:`zero_energy_nodes_tw`; each weight in
+    its rows ``(d, v1, w1, v2, w2, ...)`` is the min-plus closure of the
+    final graph over the bag's subtree. One top-down sweep from d(z) = 0 reads the
     distances: the node x rooted at a bag closes over the bag's other live
     members, the sink included, which are all rooted at strict ancestors
     (the sink above the root) and therefore already final. A killed node
@@ -393,14 +397,15 @@ def sssp_to_z_treedec(st: _TwState) -> list:
         row = rows[b]
         if row is None:
             continue
-        diag, outs = row
-        if diag is not None and diag[0] <= 0:
+        it = iter(row)
+        diag = next(it)
+        if diag is not None and diag <= 0:
             raise InvariantError("non-positive cycle in shortest-path pass")
         best = INF
-        for v, e in outs:
+        for v, e in zip(it, it):
             d = dist[v]
             if d != INF:
-                cand = e[0] + d
+                cand = e + d
                 if cand < best:
                     best = cand
         dist[rooted[b]] = best

@@ -7,7 +7,11 @@ problems simply leave it at 1).
 
 Edge i is (src[i], dst[i], wt[i], wtp[i]), four parallel plain lists (weights
 may be bigints) that solvers index or zip and never write; out[u] and inc[v]
-list the indices of u's outgoing and v's incoming edges in edge order.
+are exact-size tuples of the indices of u's outgoing and v's incoming edges
+in edge order, whichever way the graph was built. The text parsers read
+weights through one token -> int map per text, so the edges share one int
+object per distinct weight token rather than holding one each (CPython
+caches only -5..256).
 :class:`Edge` is only an input record: the constructor takes Edges or plain
 (src, dst, wt, wtp) tuples alike and keeps neither.
 
@@ -95,8 +99,8 @@ class WeightedDigraph:
         except ValueError:  # a row of another length
             raise ValueError("edges must be (src, dst, wt, wtp) rows; from_edges takes (src, dst, wt)") from None
         self.src, self.dst, self.wt, self.wtp = src, dst, wt, wtp
-        self.out = out = [[] for _ in range(n)]
-        self.inc = inc = [[] for _ in range(n)]
+        out = [[] for _ in range(n)]
+        inc = [[] for _ in range(n)]
         seen = set()  # u * n + v per edge; unique once u and v are in range
         for i, (u, v) in enumerate(zip(src, dst)):
             if not (0 <= u < n and 0 <= v < n):
@@ -108,17 +112,19 @@ class WeightedDigraph:
             seen.add(key)
             out[u].append(i)
             inc[v].append(i)
+        self.out, self.inc = [*map(tuple, out)], [*map(tuple, inc)]
 
     @classmethod
     def _of_columns(cls, n: int, src: list, dst: list, wt: list, wtp: list, labels: list):
         """A graph on checked columns: ids in 0..n-1, every wtp >= 1, no pair twice."""
         g = cls.__new__(cls)
         g.n, g.labels, g.src, g.dst, g.wt, g.wtp = n, labels, src, dst, wt, wtp
-        g.out = out = [[] for _ in range(n)]
-        g.inc = inc = [[] for _ in range(n)]
+        out = [[] for _ in range(n)]
+        inc = [[] for _ in range(n)]
         for i, (u, v) in enumerate(zip(src, dst)):
             out[u].append(i)
             inc[v].append(i)
+        g.out, g.inc = [*map(tuple, out)], [*map(tuple, inc)]
         return g
 
     # -- construction helpers -------------------------------------------------
@@ -278,9 +284,20 @@ _DOT_EDGE = re.compile(
 )
 
 
-def _parse_int(tok: str, what: str, ln: int) -> int:
+class _Ints(dict):
+    """token -> int(token), converted once per distinct token, so the
+    weights read through one map share one int object per value."""
+
+    def __missing__(self, tok: str) -> int:
+        self[tok] = v = int(tok)
+        return v
+
+
+def _parse_int(tok: str, what: str, ln: int, ints=None) -> int:
+    """int(tok), or ints[tok] through an :class:`_Ints` map; a bad token
+    raises ParseError naming ``what``."""
     try:
-        return int(tok)
+        return int(tok) if ints is None else ints[tok]
     except ValueError:
         raise ParseError(f"bad {what} {tok!r}", ln) from None
 
@@ -345,10 +362,11 @@ def _dimacs_columns(text: str) -> WeightedDigraph | None:
         return None
     labels = [str(i + 1) for i in range(n)]
     node = dict(zip(labels, range(n)))  # one int object per node, shared by its edges
+    weight = _Ints().__getitem__  # one int object per weight token
     try:
         src, dst = [list(map(node.__getitem__, toks[i::width])) for i in (5, 6)]
-        wt = list(map(int, toks[7::width]))
-        wtp = list(map(int, toks[8::5])) if width == 5 else [1] * m
+        wt = list(map(weight, toks[7::width]))
+        wtp = list(map(weight, toks[8::5])) if width == 5 else [1] * m
     except (KeyError, ValueError):  # an id out of range or not written as gen writes it, a bad field
         return None
     del toks, node
@@ -360,6 +378,7 @@ def _dimacs_columns(text: str) -> WeightedDigraph | None:
 def _dimacs_lines(text: str) -> WeightedDigraph:
     n = m = None
     raw: list[tuple[int, int, int, int]] = []
+    ints = _Ints()
     for ln, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
         if not parts or parts[0][0] == "c":
@@ -367,15 +386,12 @@ def _dimacs_lines(text: str) -> WeightedDigraph:
         if parts[0] == "a":
             if n is None:
                 raise ParseError("edge line before problem line", ln)
+            if len(parts) not in (4, 5):
+                raise ParseError("edge line must be 'a <src> <dst> <wt> [<wtp>]'", ln)
             try:
-                if len(parts) == 4:
-                    u, v, w, wp = int(parts[1]), int(parts[2]), int(parts[3]), 1
-                else:
-                    u, v, w, wp = map(int, parts[1:])
-            except ValueError:
-                # Wrong count, or a bad field: name the first bad one.
-                if len(parts) not in (4, 5):
-                    raise ParseError("edge line must be 'a <src> <dst> <wt> [<wtp>]'", ln) from None
+                u, v, w = int(parts[1]), int(parts[2]), ints[parts[3]]
+                wp = ints[parts[4]] if len(parts) == 5 else 1
+            except ValueError:  # a bad field: name the first one
                 u = _parse_int(parts[1], "source id", ln)
                 v = _parse_int(parts[2], "target id", ln)
                 w = _parse_int(parts[3], "weight", ln)
@@ -411,6 +427,7 @@ def _parse_edgelist(text: str) -> WeightedDigraph:
     ids: dict[str, int] = {}
     labels: list[str] = []
     raw: list[tuple[int, int, int, int]] = []
+    ints = _Ints()
 
     def intern(tok: str, ln: int) -> int:
         _parse_int(tok, "node id", ln)
@@ -430,8 +447,8 @@ def _parse_edgelist(text: str) -> WeightedDigraph:
             raise ParseError("edge line must be '<src> <dst> <wt> [<wtp>]'", ln)
         u = intern(parts[0], ln)
         v = intern(parts[1], ln)
-        w = _parse_int(parts[2], "weight", ln)
-        wp = _parse_int(parts[3], "secondary weight", ln) if len(parts) == 4 else 1
+        w = _parse_int(parts[2], "weight", ln, ints)
+        wp = _parse_int(parts[3], "secondary weight", ln, ints) if len(parts) == 4 else 1
         if wp < 1:
             raise ParseError(f"secondary weight must be >= 1, got {wp}", ln)
         raw.append((u, v, w, wp))

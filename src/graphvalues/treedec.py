@@ -355,11 +355,15 @@ def fold_bag_of_edge(t: TreeDecomposition, u: int, v: int) -> int:
     """The bag where an edge's weight enters the bottom-up traversals.
 
     This is the root bag of the deeper-rooted endpoint; it always contains
-    both endpoints of a covered edge.
+    both endpoints of a covered edge. An endpoint in no bag (root bag -1)
+    never passes the membership test, which then names it.
     """
     bu, bv = t.root_bag_of[u], t.root_bag_of[v]
     b = bu if t.level[bu] >= t.level[bv] else bv
     if u not in t.bags[b] or v not in t.bags[b]:
+        for w in (u, v):
+            if t.root_bag_of[w] == -1:
+                raise InvariantError(f"node {w} is in no bag")
         raise InvariantError(f"edge ({u},{v}) not covered by fold bag {b}")
     return b
 

@@ -165,6 +165,16 @@ def test_node_in_no_bag_raises():
         energy_values_tw(g, t)
 
 
+def test_a_node_in_no_bag_is_named():
+    # node 2 has edges but no bag; its root bag reads -1, which must not
+    # index Python's last bag and blame the edge (1, 2) instead
+    g = WeightedDigraph.from_edges(3, [(0, 1, -1), (1, 0, 2), (1, 2, 1), (2, 0, 1)])
+    t = TreeDecomposition([{0}, {0, 1}], [None, 0], 3)
+    for solve in (energy_values_tw, min_cycle):
+        with pytest.raises(InvariantError, match="^node 2 is in no bag$"):
+            solve(g, t)
+
+
 @pytest.mark.parametrize("extra", [-1, 1])
 def test_decomposition_of_another_node_count_is_refused(two_gadget, extra):
     g = two_gadget
@@ -377,7 +387,7 @@ def _cascade_graph(seed: int) -> WeightedDigraph:
 
 
 def _weights(rows):
-    return [None if r is None else (r[0] and r[0][0], [(v, e[0]) for v, e in r[1]]) for r in rows]
+    return [None if r is None else (r[0], list(zip(r[1::2], r[2::2]))) for r in rows]
 
 
 def test_kill_rounds_on_cascades_match_the_references():
@@ -421,6 +431,19 @@ def test_unnormalized_decomposition_raises():
     for solve in (min_cycle, mean_value, ratio_value, lambda g, t: decide_mean_geq(g, t, 0)):
         with pytest.raises(InvariantError):
             solve(g, t)
+
+
+def test_rows_hold_only_ints_after_a_solve():
+    for seed in range(6):
+        g = gen_ktree(30, k=2, seed=seed, wt=(-4, 6))
+        xs, st = _solved(g, build_decomposition(g))
+        assert xs and any(st.rows), seed  # some nodes killed, some rows kept
+        for row in st.rows:
+            assert row is None or (
+                type(row) is tuple and len(row) % 2 == 1
+                and (row[0] is None or type(row[0]) is int)
+                and all(type(x) is int for x in row[1:])
+            ), seed
 
 
 # -- one strongly connected component at a time ------------------------------------
