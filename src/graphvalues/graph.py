@@ -8,10 +8,7 @@ problems simply leave it at 1).
 Edge i is (src[i], dst[i], wt[i], wtp[i]), four parallel plain lists (weights
 may be bigints) that solvers index or zip and never write; out[u] and inc[v]
 are exact-size tuples of the indices of u's outgoing and v's incoming edges
-in edge order, whichever way the graph was built. The text parsers read
-weights through one token -> int map per text, so the edges share one int
-object per distinct weight token rather than holding one each (CPython
-caches only -5..256).
+in edge order, whichever way the graph was built.
 :class:`Edge` is only an input record: the constructor takes Edges or plain
 (src, dst, wt, wtp) tuples alike and keeps neither.
 
@@ -37,9 +34,10 @@ DIMACS_MAX_NODES = 1_000_000
 def _gc_paused(fn):
     """``fn`` run with Python's cyclic garbage collector disabled.
 
-    The solve pipeline builds no reference cycles (tests/test_gc.py checks
-    this under ``gc.DEBUG_SAVEALL``), so a collection during one of its
-    stages frees nothing and only rescans the young lists and tuples. The
+    The graph constructor and the solve pipeline build no reference cycles
+    (tests/test_gc.py checks this under ``gc.DEBUG_SAVEALL``), so a
+    collection during one of their stages frees nothing and only rescans
+    the young lists and tuples. The
     collector is re-enabled afterwards only if it was enabled on entry, so
     nested stages and callers that disabled it themselves keep their state.
     """
@@ -87,6 +85,7 @@ class WeightedDigraph:
 
     __slots__ = ("n", "src", "dst", "wt", "wtp", "labels", "out", "inc")
 
+    @_gc_paused
     def __init__(self, n: int, edges: Iterable[tuple], labels: Sequence[str] | None = None):
         if labels is None:
             labels = [str(i) for i in range(n)]
@@ -284,20 +283,9 @@ _DOT_EDGE = re.compile(
 )
 
 
-class _Ints(dict):
-    """token -> int(token), converted once per distinct token, so the
-    weights read through one map share one int object per value."""
-
-    def __missing__(self, tok: str) -> int:
-        self[tok] = v = int(tok)
-        return v
-
-
-def _parse_int(tok: str, what: str, ln: int, ints=None) -> int:
-    """int(tok), or ints[tok] through an :class:`_Ints` map; a bad token
-    raises ParseError naming ``what``."""
+def _parse_int(tok: str, what: str, ln: int) -> int:
     try:
-        return int(tok) if ints is None else ints[tok]
+        return int(tok)
     except ValueError:
         raise ParseError(f"bad {what} {tok!r}", ln) from None
 
@@ -362,11 +350,10 @@ def _dimacs_columns(text: str) -> WeightedDigraph | None:
         return None
     labels = [str(i + 1) for i in range(n)]
     node = dict(zip(labels, range(n)))  # one int object per node, shared by its edges
-    weight = _Ints().__getitem__  # one int object per weight token
     try:
         src, dst = [list(map(node.__getitem__, toks[i::width])) for i in (5, 6)]
-        wt = list(map(weight, toks[7::width]))
-        wtp = list(map(weight, toks[8::5])) if width == 5 else [1] * m
+        wt = list(map(int, toks[7::width]))
+        wtp = list(map(int, toks[8::5])) if width == 5 else [1] * m
     except (KeyError, ValueError):  # an id out of range or not written as gen writes it, a bad field
         return None
     del toks, node
@@ -378,7 +365,6 @@ def _dimacs_columns(text: str) -> WeightedDigraph | None:
 def _dimacs_lines(text: str) -> WeightedDigraph:
     n = m = None
     raw: list[tuple[int, int, int, int]] = []
-    ints = _Ints()
     for ln, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
         if not parts or parts[0][0] == "c":
@@ -386,12 +372,15 @@ def _dimacs_lines(text: str) -> WeightedDigraph:
         if parts[0] == "a":
             if n is None:
                 raise ParseError("edge line before problem line", ln)
-            if len(parts) not in (4, 5):
-                raise ParseError("edge line must be 'a <src> <dst> <wt> [<wtp>]'", ln)
             try:
-                u, v, w = int(parts[1]), int(parts[2]), ints[parts[3]]
-                wp = ints[parts[4]] if len(parts) == 5 else 1
-            except ValueError:  # a bad field: name the first one
+                if len(parts) == 4:
+                    u, v, w, wp = int(parts[1]), int(parts[2]), int(parts[3]), 1
+                else:
+                    u, v, w, wp = map(int, parts[1:])
+            except ValueError:
+                # Wrong count, or a bad field: name the first bad one.
+                if len(parts) not in (4, 5):
+                    raise ParseError("edge line must be 'a <src> <dst> <wt> [<wtp>]'", ln) from None
                 u = _parse_int(parts[1], "source id", ln)
                 v = _parse_int(parts[2], "target id", ln)
                 w = _parse_int(parts[3], "weight", ln)
@@ -427,7 +416,6 @@ def _parse_edgelist(text: str) -> WeightedDigraph:
     ids: dict[str, int] = {}
     labels: list[str] = []
     raw: list[tuple[int, int, int, int]] = []
-    ints = _Ints()
 
     def intern(tok: str, ln: int) -> int:
         _parse_int(tok, "node id", ln)
@@ -447,8 +435,8 @@ def _parse_edgelist(text: str) -> WeightedDigraph:
             raise ParseError("edge line must be '<src> <dst> <wt> [<wtp>]'", ln)
         u = intern(parts[0], ln)
         v = intern(parts[1], ln)
-        w = _parse_int(parts[2], "weight", ln, ints)
-        wp = _parse_int(parts[3], "secondary weight", ln, ints) if len(parts) == 4 else 1
+        w = _parse_int(parts[2], "weight", ln)
+        wp = _parse_int(parts[3], "secondary weight", ln) if len(parts) == 4 else 1
         if wp < 1:
             raise ParseError(f"secondary weight must be >= 1, got {wp}", ln)
         raw.append((u, v, w, wp))
@@ -486,8 +474,9 @@ def _parse_dot(text: str) -> WeightedDigraph:
 
 
 def to_dimacs(g: WeightedDigraph) -> str:
+    ids = [*map(str, range(1, g.n + 1))]  # each node's label written once, not once per edge end
     lines = [f"p mrc {g.n} {g.m}"]
-    lines += [f"a {u + 1} {v + 1} {w} {wp}" for u, v, w, wp in zip(g.src, g.dst, g.wt, g.wtp)]
+    lines += [f"a {ids[u]} {ids[v]} {w} {wp}" for u, v, w, wp in zip(g.src, g.dst, g.wt, g.wtp)]
     return "\n".join(lines) + "\n"
 
 

@@ -14,7 +14,7 @@ import pytest
 from graphvalues import energy_tw, graph, ratio, treedec
 from graphvalues.energy_tw import energy_values_tw, nonpositive_values_tw
 from graphvalues.generate import gen_cfg_like, gen_ktree, gen_sparse_random
-from graphvalues.graph import ParseError, parse_any, to_dimacs
+from graphvalues.graph import ParseError, WeightedDigraph, parse_any, to_dimacs
 from graphvalues.ratio import mean_values_all_nodes, ratio_values_all_nodes
 from graphvalues.treedec import balance_and_binarize, build_decomposition
 
@@ -71,6 +71,23 @@ def test_the_collector_is_off_inside_a_stage_and_restored_after(collector, monke
     gc.enable() if enabled else gc.disable()
     run(g, text, raw)
     assert inside and not any(inside)
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_the_constructor_runs_with_the_collector_off(collector, enabled):
+    inside = []
+
+    def rows():
+        for row in [(0, 1, 5, 1), (1, 0, -2, 3)]:
+            inside.append(gc.isenabled())
+            yield row
+
+    gc.enable() if enabled else gc.disable()
+    WeightedDigraph(2, rows())
+    with pytest.raises(ValueError, match="duplicate"):
+        WeightedDigraph(2, [(0, 1, 5, 1), (0, 1, 6, 1)])
+    assert inside == [False, False]
     assert gc.isenabled() is enabled
 
 
